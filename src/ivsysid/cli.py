@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -126,28 +127,38 @@ def _cmd_filters(args) -> dict:
 
 def _read_measurements(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
+        fields = fh.readline().rstrip("\r\n").split(",")
         if "t" not in fields:
             raise CliError(f"{path} has no 't' column (found {fields})")
         if all(c in fields for c in ("z1", "z2", "z3")):
-            cols = ("z1", "z2", "z3")
+            cols = ("t", "z1", "z2", "z3")
         elif all(c in fields for c in ("x1", "x2", "x3")):
-            cols = ("x1", "x2", "x3")
+            cols = ("t", "x1", "x2", "x3")
         else:
             raise CliError(f"{path} needs columns z1..z3 or x1..x3 (found {fields})")
-        times, values = [], []
-        for row in reader:
-            times.append(float(row["t"]))
-            values.append([float(row[c]) for c in cols])
-    if len(times) < 2:
-        raise CliError(f"{path} has {len(times)} data rows; need at least 2")
-    t = np.asarray(times)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a file without data rows is rejected below
+                data = np.loadtxt(
+                    fh, delimiter=",", usecols=[fields.index(c) for c in cols], ndmin=2
+                )
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
+    if data.shape[0] < 2:
+        raise CliError(f"{path} has {data.shape[0]} data rows; need at least 2")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise CliError(
+            f"{path}: column {cols[col]!r} has a non-finite value "
+            f"({data[row, col]}) at data row {row + 1}"
+        )
+    t = data[:, 0]
     steps = np.diff(t)
     h = float(steps[0])
     if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0):
         raise CliError(f"{path} time column is not a uniform positive grid")
-    return t, np.asarray(values)
+    return t, data[:, 1:]
 
 
 def _cmd_estimate(args) -> dict:
@@ -157,7 +168,7 @@ def _cmd_estimate(args) -> dict:
     cfg = replace(cfg, n=len(times), h=float(times[1] - times[0]))
     bank = build_split_bank(cfg.mode, cfg.N, cfg.h, cfg.p)
     feats = lambda t, s: feature_map(t, s, cfg.forcing_freq)  # noqa: E731
-    design = assemble_design(values, bank, feats, cfg.mu, cfg.stride)
+    design = assemble_design(values, bank, feats, cfg.mu, cfg.stride, t0=float(times[0]))
     iv = iv_estimate(design, IvConfig(lam=cfg.lam, mu=cfg.mu))
     ls = ls_estimate(design)
     excitation = excitation_check(design, cfg.lam)

@@ -184,7 +184,7 @@ def add_noise(traj: Trajectory, eta: float, seed: int) -> MeasurementSeries:
 _pseudo_true_cache: dict[tuple, np.ndarray] = {}
 
 
-def pseudo_true_discrete(config) -> np.ndarray:
+def pseudo_true_discrete(config, trajectory: Trajectory | None = None) -> np.ndarray:
     """Zero-noise least-squares reference for the discrete-time model.
 
     The discrete pipeline estimates the one-step transition map, for which no
@@ -193,7 +193,9 @@ def pseudo_true_discrete(config) -> np.ndarray:
     to on noiseless data. That value is a pure function of the pipeline
     geometry, so it is computed once per configuration and cached. `config`
     must provide mode, n, h, N, p, stride, substeps, forcing_freq and x0,
-    with p already feasible for the split window.
+    with p already feasible for the split window. `trajectory`, when given,
+    must be the noiseless path those fields describe; it saves integrating
+    that path again.
     """
     if config.mode != "discrete":
         raise ValueError("pseudo-true reference applies to discrete mode only")
@@ -210,12 +212,13 @@ def pseudo_true_discrete(config) -> np.ndarray:
     cached = _pseudo_true_cache.get(key)
     if cached is not None:
         return cached
-    params = LorenzParams(forcing_freq=config.forcing_freq)
-    traj = integrate(params, config.x0, config.h, config.n, config.substeps)
+    if trajectory is None:
+        params = LorenzParams(forcing_freq=config.forcing_freq)
+        trajectory = integrate(params, config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("discrete", config.N, config.h, config.p)
     feats = lambda t, state: feature_map(t, state, config.forcing_freq)  # noqa: E731
     # mu only shapes the instruments, which least squares never reads
-    design = assemble_design(traj.states, bank, feats, mu=1e9, stride=config.stride)
+    design = assemble_design(trajectory.states, bank, feats, mu=1e9, stride=config.stride)
     theta = ls_estimate(design).theta
     theta.setflags(write=False)
     _pseudo_true_cache[key] = theta

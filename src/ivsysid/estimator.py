@@ -91,15 +91,9 @@ def iv_estimate(design: DesignMatrices, config: IvConfig) -> Estimate:
     Returns:
         Estimate with method "iv". Deterministic given inputs.
     """
-    X, Y, Z = design.X, design.Y, design.Z
-    if X.shape != Z.shape or X.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"inconsistent design shapes X{X.shape}, Y{Y.shape}, Z{Z.shape}"
-        )
-    M = Z.T @ X
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = np.linalg.svd(design.zx, full_matrices=False)
     clipped = np.maximum(s, config.lam)
-    theta = Vt.T @ ((U.T @ (Z.T @ Y)) / clipped[:, None])
+    theta = Vt.T @ ((U.T @ design.zy) / clipped[:, None])
     return Estimate(
         theta=theta,
         sigma_min_zx=float(s[-1]),
@@ -109,18 +103,36 @@ def iv_estimate(design: DesignMatrices, config: IvConfig) -> Estimate:
     )
 
 
-def ls_estimate(design: DesignMatrices) -> Estimate:
-    """Ordinary least squares baseline via orthogonal factorization.
+#: Largest eigenvalue ratio of X'X solved from its eigendecomposition. The
+#: normal equations lose about eps * ratio in relative accuracy (1e-8 here);
+#: above it, and for a singular or non-finite X'X, the SVD solve on X decides.
+_GRAM_RATIO_LIMIT = 1e8
 
-    Solves min ||X theta - Y||_F with an SVD-based solve rather than the
-    normal equations.
+
+def ls_estimate(design: DesignMatrices) -> Estimate:
+    """Ordinary least squares baseline: theta = (X'X)^-1 X'Y.
+
+    Solves from an eigendecomposition of the moment X'X. When X'X is too
+    ill-conditioned for that to be accurate, solves min ||X theta - Y||_F by
+    an SVD of X instead.
 
     Raises:
         SingularDesignError: X numerically rank deficient.
     """
+    evals, V = np.linalg.eigh(design.xx)
+    if not evals[0] * _GRAM_RATIO_LIMIT > evals[-1]:
+        return _ls_svd(design)
+    return Estimate(
+        theta=V @ ((V.T @ design.xy) / evals[:, None]),
+        sigma_min_zx=float(evals[0]),
+        clipped_directions=0,
+        method="ls",
+        condition_number=float(np.sqrt(evals[-1] / evals[0])),
+    )
+
+
+def _ls_svd(design: DesignMatrices) -> Estimate:
     X, Y = design.X, design.Y
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(f"inconsistent design shapes X{X.shape}, Y{Y.shape}")
     theta, _, rank, sv = np.linalg.lstsq(X, Y, rcond=None)
     if rank < X.shape[1]:
         raise SingularDesignError(float(sv[-1]))
@@ -137,11 +149,11 @@ def excitation_check(design: DesignMatrices, lam: float) -> dict:
     """Plug-in persistence-of-excitation diagnostic.
 
     The identifiability condition lower-bounds sigma_min of E[Z'X]; the
-    expectation is unobservable, so this reports the empirical sigma_min(Z'X)
-    and whether it clears the clipping floor lam.
+    expectation is unobservable, so this reports the empirical sigma_min(Z'X),
+    from the same decomposition iv_estimate inverts, and whether it clears
+    the clipping floor lam.
     """
-    s = np.linalg.svd(design.Z.T @ design.X, compute_uv=False)
-    sigma_min = float(s[-1])
+    sigma_min = float(np.linalg.svd(design.zx, full_matrices=False)[1][-1])
     return {
         "sigma_min": sigma_min,
         "satisfied": bool(sigma_min > lam),

@@ -149,7 +149,7 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         reference = true_theta()
         kind = "ground_truth"
     else:
-        reference = pseudo_true_discrete(replace(config, p=p_used))
+        reference = pseudo_true_discrete(replace(config, p=p_used), trajectory)
         kind = "pseudo_true"
     return SharedArtifacts(
         trajectory=trajectory,
@@ -281,19 +281,24 @@ def bootstrap_se(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB5]))
     T = len(ok)
     idx = rng.integers(0, T, size=(B, T))
+    # resample b as weights: weights[b, t] = (times trial t was drawn) / T
+    flat = (idx + T * np.arange(B)[:, None]).ravel()
+    weights = np.bincount(flat, minlength=B * T).reshape(B, T) / T
+    refnorm = np.linalg.norm(reference)
     out: dict[str, dict[str, float]] = {}
     for name, thetas in (
         ("iv", np.stack([r.theta_iv for r in ok])),
         ("ls", np.stack([r.theta_ls for r in ok])),
     ):
-        refnorm = np.linalg.norm(reference)
-        sq_dev_ref = np.sum((thetas - reference) ** 2, axis=(1, 2))  # (T,)
-        sampled = thetas[idx]  # (B, T, 6, 3)
-        means = sampled.mean(axis=1)  # (B, 6, 3)
-        bias = np.linalg.norm(means - reference, axis=(1, 2)) / refnorm
-        rmse = np.sqrt(sq_dev_ref[idx].mean(axis=1)) / refnorm
-        centered = np.sum((sampled - means[:, None]) ** 2, axis=(2, 3))  # (B, T)
-        std = np.sqrt(centered.mean(axis=1)) / refnorm
+        # deviations from the full-sample mean keep the resampled variance
+        # E_w|d|^2 - |E_w d|^2 free of cancellation
+        center = thetas.mean(axis=0)
+        dev = (thetas - center).reshape(T, -1)  # (T, 18)
+        dev_means = weights @ dev  # (B, 18)
+        bias = np.linalg.norm(dev_means + (center - reference).ravel(), axis=1) / refnorm
+        rmse = np.sqrt(weights @ np.sum((thetas - reference) ** 2, axis=(1, 2))) / refnorm
+        var = weights @ np.sum(dev**2, axis=1) - np.sum(dev_means**2, axis=1)
+        std = np.sqrt(np.maximum(var, 0.0)) / refnorm
         out[name] = {
             "bias_se": float(100.0 * bias.std(ddof=1)),
             "std_se": float(100.0 * std.std(ddof=1)),

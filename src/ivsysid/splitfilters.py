@@ -11,11 +11,11 @@ regressors row by row, which is what removes the errors-in-variables bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.signal import correlate
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .polyfilter import FilterSpec, FilterWeights, build_filter
 
@@ -68,6 +68,26 @@ class SplitFilterBank:
     mode: Literal["continuous", "discrete"]
     base_window: int
     base_step: float
+    # conj(rfft) of (hat_H, hat_G, tilde_G), keyed by FFT length
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def stencil_spectra(self, nfft: int) -> np.ndarray:
+        """Conjugate spectra of the three stencils at FFT length nfft, (3, nfft//2 + 1).
+
+        Multiplying a signal's rfft by these and transforming back correlates
+        the signal with each stencil. Computed once per length and kept on the
+        bank; concurrent callers at worst compute the same value twice.
+        """
+        spectra = self._spectra.get(nfft)
+        if spectra is None:
+            stencils = np.stack([
+                self.hat_H.coefficients[self.hat_H.spec.derivative_order],
+                self.hat_G.coefficients[0],
+                self.tilde_G.coefficients[0],
+            ])
+            spectra = np.conj(rfft(stencils, nfft, axis=1))
+            self._spectra[nfft] = spectra
+        return spectra
 
 
 def build_split_bank(mode: str, N: int, h: float, p: int) -> SplitFilterBank:
@@ -123,6 +143,9 @@ class DesignMatrices:
     Z the truncated features of the tilde-filtered state. Rows whose times
     differ by at least window_span * h were built from windows with no raw
     samples in common.
+
+    The estimators read only the moments X'X, X'Y, Z'X and Z'Y, which are
+    formed once here.
     """
 
     X: np.ndarray  # (n', d_phi)
@@ -130,6 +153,19 @@ class DesignMatrices:
     Z: np.ndarray  # (n', d_phi)
     times: np.ndarray  # (n',)
     window_span: int
+    xx: np.ndarray = field(init=False, repr=False, compare=False)  # (d_phi, d_phi)
+    xy: np.ndarray = field(init=False, repr=False, compare=False)  # (d_phi, d_H)
+    zx: np.ndarray = field(init=False, repr=False, compare=False)  # (d_phi, d_phi)
+    zy: np.ndarray = field(init=False, repr=False, compare=False)  # (d_phi, d_H)
+
+    def __post_init__(self):
+        X, Y, Z = self.X, self.Y, self.Z
+        if X.shape != Z.shape or X.shape[0] != Y.shape[0]:
+            raise ValueError(
+                f"inconsistent design shapes X{X.shape}, Y{Y.shape}, Z{Z.shape}"
+            )
+        for name, value in (("xx", X.T @ X), ("xy", X.T @ Y), ("zx", Z.T @ X), ("zy", Z.T @ Y)):
+            object.__setattr__(self, name, value)
 
 
 def rho_truncate(x: np.ndarray, mu: float) -> np.ndarray:
@@ -146,20 +182,34 @@ def rho_truncate(x: np.ndarray, mu: float) -> np.ndarray:
     return x / (1.0 + norms / mu)
 
 
-def _sparse_kernel(coefs: np.ndarray, span: int, parity: int) -> np.ndarray:
-    # Embed the doubled-grid stencil into a length-span kernel over the raw
-    # samples; parity 0 = earlier class (local offsets 0, 2, ...), 1 = later.
-    kern = np.zeros(span)
-    kern[parity::2] = coefs
-    return kern
+def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndarray:
+    """The three stencils' outputs at every window offset, (3, n - 2N + 1, d).
 
+    Window w reads hat samples w + 1 + 2k and tilde samples w + 2k, k < N.
+    With the even subsequence E[j] = m[2j] and the odd one O[j] = m[2j + 1],
+    even offsets w = 2a read hat from O[a + k] and tilde from E[a + k]; odd
+    offsets w = 2a + 1 read hat from E[a + 1 + k] and tilde from O[a + k].
+    Each subsequence is correlated with all three stencils through its own
+    FFT, so an output never mixes rounding from the other parity class.
+    """
+    n, N = measurements.shape[0], bank.base_window
+    windows = n - 2 * N + 1
+    n_even, n_odd = (windows + 1) // 2, windows // 2
+    nfft = next_fast_len((n + 1) // 2, real=True)
+    spectra = bank.stencil_spectra(nfft)[:, :, None]
 
-def _filtered(measurements: np.ndarray, kern: np.ndarray, stride: int) -> np.ndarray:
-    cols = [
-        correlate(measurements[:, c], kern, mode="valid")[::stride]
-        for c in range(measurements.shape[1])
-    ]
-    return np.stack(cols, axis=1)
+    def correlated(sub: np.ndarray) -> np.ndarray:
+        # circular correlation; entries a <= len(sub) - N never wrap
+        return irfft(rfft(sub, nfft, axis=0)[None] * spectra, nfft, axis=1)
+
+    even = correlated(measurements[0::2])
+    odd = correlated(measurements[1::2])
+    out = np.empty((3, windows, measurements.shape[1]))
+    out[:2, 0::2] = odd[:2, :n_even]
+    out[:2, 1::2] = even[:2, 1 : n_odd + 1]
+    out[2, 0::2] = even[2, :n_even]
+    out[2, 1::2] = odd[2, :n_odd]
+    return out
 
 
 def assemble_design(
@@ -168,14 +218,16 @@ def assemble_design(
     feature_map: Callable[[np.ndarray, np.ndarray], np.ndarray],
     mu: float,
     stride: int = 1,
+    t0: float | None = None,
 ) -> DesignMatrices:
     """Slide the split windows over a measurement series and stack the rows.
 
-    Sample i (0-based row of `measurements`) is taken to sit at time
-    (i + 1) * h. Windows span 2N raw samples (N per parity class) and start
-    at offsets 0, stride, 2*stride, ... as long as they fit; trailing samples
-    that do not fill a window are dropped. For the window at offset w the
-    regression time is t = (w + N + 1/2) * h and
+    Sample i (0-based row of `measurements`) sits at time t0 + i * h, with
+    t0 = h when not given (the simulator's grid). Windows span 2N raw samples
+    (N per parity class) and start at offsets 0, stride, 2*stride, ... as
+    long as they fit; trailing samples that do not fill a window are dropped.
+    For the window at offset w the regression time is t = t0 + (w + N - 1/2) * h
+    and
 
         X row  = feature_map(t, hat_G state estimate)       (later parity)
         Y row  = hat_H response estimate                    (later parity)
@@ -199,18 +251,10 @@ def assemble_design(
     if n < span:
         raise EmptyDesignError(f"need at least {span} samples for one window, got {n}")
 
-    kern_H = _sparse_kernel(
-        bank.hat_H.coefficients[bank.hat_H.spec.derivative_order], span, parity=1
-    )
-    kern_G = _sparse_kernel(bank.hat_G.coefficients[0], span, parity=1)
-    kern_T = _sparse_kernel(bank.tilde_G.coefficients[0], span, parity=0)
-
-    resp = _filtered(measurements, kern_H, stride)
-    state_hat = _filtered(measurements, kern_G, stride)
-    state_tilde = _filtered(measurements, kern_T, stride)
+    resp, state_hat, state_tilde = _parity_filtered(measurements, bank)[:, ::stride]
 
     offsets = np.arange(0, n - span + 1, stride)
-    times = (offsets + N + 0.5) * h
+    times = (offsets + N - 0.5) * h + (h if t0 is None else t0)
 
     X = np.asarray(feature_map(times, state_hat), dtype=float)
     Z_raw = np.asarray(feature_map(times, state_tilde), dtype=float)

@@ -3,7 +3,7 @@
 Each test prints one `ACCEPTANCE <k> <name>: PASS|FAIL` line, so running
 `pytest -s tests/test_acceptance.py` doubles as the release report. The two
 replication tests run 200 Monte Carlo trials each at the full data scale and
-dominate the runtime (about a minute together on four cores).
+dominate the runtime (about 20 s together on two cores).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 
 from ivsysid.bounds import GammaParams, corollary_rate, gamma, ideal_window
 from ivsysid.cli import main
+from ivsysid.dynamics import LorenzParams, integrate
 from ivsysid.harness import ExperimentConfig, prepare_shared, run_trial
 
 
@@ -120,6 +121,34 @@ def test_estimate_rejects_nonuniform_grid(tmp_path, capsys):
     )
     assert rc == 1
     assert "uniform" in parse_json(err)["error"]["message"]
+
+
+def test_estimate_honours_time_origin(tmp_path, capsys):
+    # a noiseless record whose first sample sits at t = 0.251, not at h
+    h, skip, n = 1e-3, 250, 20_000
+    traj = integrate(LorenzParams(), (-8.0, 8.0, 27.0), h, skip + n, substeps=10)
+    path = tmp_path / "late.csv"
+    np.savetxt(
+        path, np.column_stack([traj.times, traj.states])[skip:],
+        fmt="%.17g", delimiter=",", header="t,x1,x2,x3", comments="",
+    )
+    rc, out, err = run_cli(capsys, "estimate", "--mode", "continuous", "--input", str(path))
+    assert rc == 0, err
+    drive = parse_json(out)["ls"]["theta"][0][2]
+    assert drive == pytest.approx(1.0, abs=1e-6)
+
+
+def test_estimate_rejects_nonfinite_values(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    rows = ["t,z1,z2,z3"] + [f"{(i + 1) * 1e-3!r},1,2,3" for i in range(300)]
+    rows[7] = rows[7].replace(",2,", ",nan,")
+    path.write_text("\n".join(rows) + "\n")
+    rc, _, err = run_cli(capsys, "estimate", "--mode", "continuous", "--input", str(path))
+    assert rc == 1
+    error = parse_json(err)["error"]
+    assert error["type"] == "CliError"
+    assert str(path) in error["message"]
+    assert "'z2'" in error["message"] and "data row 7" in error["message"]
 
 
 def test_benchmark_manifest_and_overrides(tmp_path, capsys):

@@ -177,6 +177,26 @@ def test_pseudo_true_cached():
         )
 
 
+def test_discrete_setup_integrates_once(monkeypatch):
+    # prepare_shared hands its trajectory to the pseudo-true reference, which
+    # then gives the same value as when it integrates the path itself
+    import ivsysid.dynamics as dynamics
+    import ivsysid.harness as harness
+
+    config = harness.ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
+    dynamics._pseudo_true_cache.clear()
+    expected = pseudo_true_discrete(config)
+    dynamics._pseudo_true_cache.clear()
+    calls = []
+    monkeypatch.setattr(
+        harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)
+    )
+    monkeypatch.setattr(dynamics, "integrate", lambda *a, **k: pytest.fail("integrated twice"))
+    shared = harness.prepare_shared(config)
+    assert len(calls) == 1
+    assert np.array_equal(shared.reference, expected)
+
+
 def test_measurement_series_rejects_nonfinite():
     with pytest.raises(ValueError):
         MeasurementSeries(values=np.array([[np.nan, 0, 0]]), noise_variance=0.1, seed=0)

@@ -129,6 +129,35 @@ def test_ls_rank_deficient():
     X = np.ones((10, 2))  # two identical columns
     with pytest.raises(SingularDesignError):
         ls_estimate(make_design(X, np.ones((10, 1))))
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=200)
+    X = np.column_stack([x, x + 1e-15 * rng.normal(size=200), rng.normal(size=200)])
+    with pytest.raises(SingularDesignError):  # near-collinear
+        ls_estimate(make_design(X, rng.normal(size=(200, 2))))
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e6])  # moment solve; SVD fallback
+def test_ls_matches_lstsq(cond):
+    rng = np.random.default_rng(15)
+    Q1, _ = np.linalg.qr(rng.normal(size=(300, 4)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    sv = np.geomspace(cond, 1.0, 4)
+    X = (Q1 * sv) @ Q2
+    Y = X @ rng.normal(size=(4, 3)) + 0.1 * rng.normal(size=(300, 3))
+    est = ls_estimate(make_design(X, Y))
+    theta, *_ = np.linalg.lstsq(X, Y, rcond=None)
+    # the normal equations at cond(X) = 1e6 would lose about 1e-4
+    np.testing.assert_allclose(est.theta, theta, rtol=1e-10, atol=0)
+    assert est.sigma_min_zx == pytest.approx(1.0, rel=1e-6)
+    assert est.condition_number == pytest.approx(cond, rel=1e-6)
+
+
+def test_excitation_check_reads_iv_sigma_min():
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(400, 5))
+    design = make_design(X, rng.normal(size=(400, 3)), X + rng.normal(size=X.shape))
+    iv = iv_estimate(design, IvConfig(lam=0.1, mu=1.0))
+    assert excitation_check(design, 0.1)["sigma_min"] == iv.sigma_min_zx
 
 
 def test_errors_in_variables_attenuation():

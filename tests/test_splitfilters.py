@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -200,3 +203,57 @@ def test_instrument_noise_uncorrelated_with_response():
     for c in range(3):
         r = np.corrcoef(design.Y[:, 0], design.Z[:, c])[0, 1]
         assert abs(r) < 3 * se
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("n", [12, 19, 40])  # 2N exactly, odd, longer
+def test_design_matches_per_window_dot_products(mode, n):
+    # oracle: window w applies hat stencils to samples w + 1 + 2k and the
+    # tilde stencil to samples w + 2k, one explicit dot product per row
+    N, h, mu = 6, 0.05, 4.0
+    bank = build_split_bank(mode, N, h, 3)
+    c_H = bank.hat_H.coefficients[bank.hat_H.spec.derivative_order]
+    c_G = bank.hat_G.coefficients[0]
+    c_T = bank.tilde_G.coefficients[0]
+    rng = np.random.default_rng(n)
+    for cols in (1, 3):
+        y = rng.normal(size=(n, cols)) + 3.0
+        for stride in (1, 2, 3):
+            design = assemble_design(y, bank, identity_features, mu=mu, stride=stride)
+            offsets = range(0, n - 2 * N + 1, stride)
+            hat = np.array([y[w + 1 : w + 2 * N : 2].T for w in offsets])
+            tilde = np.array([y[w : w + 2 * N : 2].T for w in offsets])
+            expected = {
+                "Y": hat @ c_H,
+                "X": hat @ c_G,
+                "Z": rho_truncate(tilde @ c_T, mu),
+            }
+            for name, want in expected.items():
+                got = getattr(design, name)
+                assert got.shape == want.shape
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= 1e-12, (name, cols, stride, err)
+
+
+def test_fresh_bank_shared_by_threads():
+    # trial threads share one bank, and the first calls race to fill its
+    # cache of stencil spectra; every design must still match a serial one
+    y = np.random.default_rng(4).normal(size=(301, 3))
+    expected = assemble_design(
+        y, build_split_bank("continuous", 10, 0.01, 4), identity_features, mu=5.0
+    )
+    bank = build_split_bank("continuous", 10, 0.01, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(assemble_design, y, bank, identity_features, 5.0)
+                for _ in range(32)
+            ]
+            designs = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for design in designs:
+        for name in ("X", "Y", "Z"):
+            assert np.array_equal(getattr(design, name), getattr(expected, name))
