@@ -10,6 +10,7 @@ sparse 6x3 theta.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +83,16 @@ def lorenz_rhs(t: float, state: np.ndarray, params: LorenzParams) -> np.ndarray:
 def feature_map(t, state, f: float = 1.0) -> np.ndarray:
     """Feature vector (sin(2*pi*f*t), x1, x2, x3, x1*x2, x1*x3).
 
-    Broadcasts: t may be a scalar or (n,) vector with state (3,) or (n, 3);
-    output gains a trailing axis of length 6.
+    Broadcasts: t may be a scalar or (n,) vector with state (3,), (n, 3) or
+    any (..., n, 3) stack; output replaces the state's trailing axis with
+    one of length 6. The features are stacked along the first axis and the
+    result is a view with them moved last, so each feature is contiguous.
     """
     state = np.asarray(state, dtype=float)
     x1, x2, x3 = state[..., 0], state[..., 1], state[..., 2]
     drive = np.sin(2.0 * np.pi * f * np.asarray(t, dtype=float))
-    return np.stack(
-        [drive, x1, x2, x3, x1 * x2, x1 * x3], axis=-1
-    )
+    drive = np.broadcast_to(drive, x1.shape)
+    return np.moveaxis(np.stack([drive, x1, x2, x3, x1 * x2, x1 * x3]), 0, -1)
 
 
 def true_theta() -> np.ndarray:
@@ -177,11 +179,18 @@ def add_noise(traj: Trajectory, eta: float, seed: int) -> MeasurementSeries:
     if eta < 0:
         raise ValueError(f"noise variance must be >= 0, got {eta}")
     rng = np.random.default_rng(seed)
-    values = traj.states + rng.normal(0.0, math.sqrt(eta), size=traj.states.shape)
+    # the same draws and bits as traj.states + rng.normal(0, sqrt(eta), shape)
+    values = rng.standard_normal(traj.states.shape)
+    values *= math.sqrt(eta)
+    values += traj.states
     return MeasurementSeries(values=values, noise_variance=eta, seed=seed)
 
 
+#: pseudo-true references by geometry, oldest first; at most
+#: _PSEUDO_TRUE_CACHE_SIZE are kept
 _pseudo_true_cache: dict[tuple, np.ndarray] = {}
+_PSEUDO_TRUE_CACHE_SIZE = 8
+_pseudo_true_lock = threading.Lock()
 
 
 def pseudo_true_discrete(config, trajectory: Trajectory | None = None) -> np.ndarray:
@@ -191,7 +200,8 @@ def pseudo_true_discrete(config, trajectory: Trajectory | None = None) -> np.nda
     closed-form parameter matrix exists; the convention is to measure
     estimation error against the value the least-squares estimator converges
     to on noiseless data. That value is a pure function of the pipeline
-    geometry, so it is computed once per configuration and cached. `config`
+    geometry, so it is computed once per configuration and cached; the
+    cache keeps the most recent few configurations. `config`
     must provide mode, n, h, N, p, stride, substeps, forcing_freq and x0,
     with p already feasible for the split window. `trajectory`, when given,
     must be the noiseless path those fields describe; it saves integrating
@@ -221,5 +231,8 @@ def pseudo_true_discrete(config, trajectory: Trajectory | None = None) -> np.nda
     design = assemble_design(trajectory.states, bank, feats, mu=1e9, stride=config.stride)
     theta = ls_estimate(design).theta
     theta.setflags(write=False)
-    _pseudo_true_cache[key] = theta
+    with _pseudo_true_lock:
+        _pseudo_true_cache[key] = theta
+        while len(_pseudo_true_cache) > _PSEUDO_TRUE_CACHE_SIZE:
+            del _pseudo_true_cache[next(iter(_pseudo_true_cache))]
     return theta

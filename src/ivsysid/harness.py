@@ -73,6 +73,10 @@ class ExperimentConfig:
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if len(self.x0) != 3:
             raise ValueError("x0 must have three components")
+        for name in ("n", "N", "p", "trials", "stride", "substeps", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("n", "N", "p", "trials", "stride", "substeps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -203,6 +207,11 @@ def run_monte_carlo(
 ) -> list[TrialResult]:
     """Run all configured trials; failures are recorded, never dropped.
 
+    A trial that raises a ValueError (which covers LinAlgError,
+    SingularDesignError and EmptyDesignError) or an ArithmeticError is
+    recorded as failed; any other exception is a programming error and
+    propagates.
+
     Trials are independent given their seeds, so any worker count produces
     identical per-trial output.
     """
@@ -212,7 +221,7 @@ def run_monte_carlo(
     def one(i: int) -> TrialResult:
         try:
             return run_trial(config, i, shared)
-        except Exception as exc:  # noqa: BLE001 - trial errors are data
+        except (ValueError, ArithmeticError) as exc:  # numerical and domain errors are data
             return TrialResult(
                 trial_index=i,
                 theta_iv=None,

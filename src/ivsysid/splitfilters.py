@@ -178,8 +178,8 @@ def rho_truncate(x: np.ndarray, mu: float) -> np.ndarray:
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     x = np.asarray(x, dtype=float)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / (1.0 + norms / mu)
+    norms = np.sqrt(np.einsum("...i,...i->...", x, x))
+    return x / (1.0 + norms / mu)[..., None]
 
 
 def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndarray:
@@ -191,25 +191,28 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     offsets w = 2a + 1 read hat from E[a + 1 + k] and tilde from O[a + k].
     Each subsequence is correlated with all three stencils through its own
     FFT, so an output never mixes rounding from the other parity class.
+
+    The result is the transposed view of a (3, d, windows) array: each
+    component's outputs are one contiguous row.
     """
     n, N = measurements.shape[0], bank.base_window
     windows = n - 2 * N + 1
     n_even, n_odd = (windows + 1) // 2, windows // 2
     nfft = next_fast_len((n + 1) // 2, real=True)
-    spectra = bank.stencil_spectra(nfft)[:, :, None]
+    spectra = bank.stencil_spectra(nfft)[:, None, :]
 
     def correlated(sub: np.ndarray) -> np.ndarray:
         # circular correlation; entries a <= len(sub) - N never wrap
-        return irfft(rfft(sub, nfft, axis=0)[None] * spectra, nfft, axis=1)
+        return irfft(rfft(sub.T, nfft)[None] * spectra, nfft)
 
     even = correlated(measurements[0::2])
     odd = correlated(measurements[1::2])
-    out = np.empty((3, windows, measurements.shape[1]))
-    out[:2, 0::2] = odd[:2, :n_even]
-    out[:2, 1::2] = even[:2, 1 : n_odd + 1]
-    out[2, 0::2] = even[2, :n_even]
-    out[2, 1::2] = odd[2, :n_odd]
-    return out
+    out = np.empty((3, measurements.shape[1], windows))
+    out[:2, :, 0::2] = odd[:2, :, :n_even]
+    out[:2, :, 1::2] = even[:2, :, 1 : n_odd + 1]
+    out[2, :, 0::2] = even[2, :, :n_even]
+    out[2, :, 1::2] = odd[2, :, :n_odd]
+    return out.transpose(0, 2, 1)
 
 
 def assemble_design(
@@ -234,8 +237,9 @@ def assemble_design(
         Z row  = rho_truncate(feature_map(t, tilde_G state estimate), mu)
                                                             (earlier parity)
 
-    feature_map must broadcast: given a (n',) time vector and (n', d_y)
-    states it returns (n', d_phi) features.
+    feature_map must broadcast over a leading axis: given a (n',) time vector
+    and (2, n', d_y) states it returns (2, n', d_phi) features. It is called
+    once per design, on the hat and the tilde states together.
 
     Raises:
         EmptyDesignError: fewer samples than one window.
@@ -251,16 +255,17 @@ def assemble_design(
     if n < span:
         raise EmptyDesignError(f"need at least {span} samples for one window, got {n}")
 
-    resp, state_hat, state_tilde = _parity_filtered(measurements, bank)[:, ::stride]
+    filtered = _parity_filtered(measurements, bank)[:, ::stride]
 
     offsets = np.arange(0, n - span + 1, stride)
     times = (offsets + N - 0.5) * h + (h if t0 is None else t0)
 
-    X = np.asarray(feature_map(times, state_hat), dtype=float)
-    Z_raw = np.asarray(feature_map(times, state_tilde), dtype=float)
-    if X.ndim != 2 or X.shape[0] != times.shape[0]:
+    features = np.asarray(feature_map(times, filtered[1:]), dtype=float)
+    if features.ndim != 3 or features.shape[:2] != (2, times.shape[0]):
         raise ValueError(
-            f"feature_map returned shape {X.shape}, expected ({times.shape[0]}, d_phi)"
+            f"feature_map returned shape {features.shape}, "
+            f"expected (2, {times.shape[0]}, d_phi)"
         )
+    X, Z_raw = features
     Z = rho_truncate(Z_raw, mu)
-    return DesignMatrices(X=X, Y=resp, Z=Z, times=times, window_span=span)
+    return DesignMatrices(X=X, Y=filtered[0], Z=Z, times=times, window_span=span)

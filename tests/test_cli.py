@@ -171,6 +171,19 @@ def test_benchmark_manifest_and_overrides(tmp_path, capsys):
     assert not (tmp_path / "res" / "kde.csv").exists()  # below the density cutoff
 
 
+def test_benchmark_rejects_non_integer_field(tmp_path, capsys):
+    out = tmp_path / "d"
+    rc, _, err = run_cli(
+        capsys,
+        "benchmark", "--mode", "continuous", "--trials", "3",
+        "--set", "n=3000", "--set", "N=20.0", "--out", str(out),
+    )
+    assert rc == 1
+    error = parse_json(err)["error"]
+    assert error == {"type": "ValueError", "message": "N must be an integer, got 20.0"}
+    assert not out.exists()
+
+
 def test_benchmark_reruns_byte_identical(tmp_path, capsys):
     args = [
         "benchmark", "--mode", "continuous", "--trials", "10", "--seed", "2",

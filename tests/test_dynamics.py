@@ -57,6 +57,17 @@ def test_feature_map_broadcasts():
     np.testing.assert_allclose(out[1], [1.0, 1.0, 2.0, 3.0, 2.0, 3.0], atol=1e-15)
 
 
+def test_feature_map_stack_matches_per_class():
+    # one call on both parity classes' states equals one call per class
+    rng = np.random.default_rng(8)
+    t = rng.uniform(0, 5, size=40)
+    states = rng.normal(size=(2, 40, 3)) * 10.0
+    out = feature_map(t, states, 1.3)
+    assert out.shape == (2, 40, 6)
+    for k in range(2):
+        assert np.array_equal(out[k], feature_map(t, states[k], 1.3))
+
+
 def test_true_theta_entries():
     theta = true_theta()
     assert theta.shape == (6, 3)
@@ -127,6 +138,17 @@ def test_add_noise_zero_eta_is_identity(lorenz_trajectory):
     assert np.array_equal(series.values, short.states)
 
 
+def test_add_noise_matches_normal_draws(lorenz_trajectory):
+    # the in-place draw gives the bits of states + normal(0, sqrt(eta))
+    eta, seed = 0.37, 2024
+    series = add_noise(lorenz_trajectory, eta, seed)
+    shape = lorenz_trajectory.states.shape
+    expected = lorenz_trajectory.states + np.random.default_rng(seed).normal(
+        0.0, math.sqrt(eta), shape
+    )
+    assert np.array_equal(series.values, expected)
+
+
 def test_add_noise_variance_and_determinism(lorenz_trajectory):
     eta = 0.1
     series = add_noise(lorenz_trajectory, eta, seed=123)
@@ -175,6 +197,25 @@ def test_pseudo_true_cached():
         pseudo_true_discrete(
             ExperimentConfig(mode="continuous", n=300, h=5e-3, N=10, p=4, trials=1)
         )
+
+
+def test_pseudo_true_cache_is_bounded():
+    from ivsysid import dynamics
+    from ivsysid.harness import ExperimentConfig
+
+    dynamics._pseudo_true_cache.clear()
+    configs = [
+        ExperimentConfig(mode="discrete", n=200 + k, h=5e-3, N=10, p=4, trials=1, substeps=2)
+        for k in range(dynamics._PSEUDO_TRUE_CACHE_SIZE + 4)
+    ]
+    for config in configs:
+        pseudo_true_discrete(config)
+        assert len(dynamics._pseudo_true_cache) <= dynamics._PSEUDO_TRUE_CACHE_SIZE
+    # the oldest entries went first (the key starts with n)
+    kept = {key[0] for key in dynamics._pseudo_true_cache}
+    assert kept == {c.n for c in configs[-dynamics._PSEUDO_TRUE_CACHE_SIZE :]}
+    assert pseudo_true_discrete(configs[-1]) is pseudo_true_discrete(configs[-1])
+    dynamics._pseudo_true_cache.clear()
 
 
 def test_discrete_setup_integrates_once(monkeypatch):

@@ -264,6 +264,16 @@ def test_failed_trials_are_recorded(small_shared, monkeypatch):
     ]
 
 
+def test_trial_programming_errors_propagate(small_shared, monkeypatch):
+    # only numerical and domain errors are trial data; a TypeError is a bug
+    def broken(config, trial_index, shared):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(harness, "run_trial", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        run_monte_carlo(SMALL, shared=small_shared)
+
+
 def test_write_trials_csv_skips_failures(tmp_path, small_shared):
     ok = run_trial(SMALL, 0, small_shared)
     bad = TrialResult(1, None, None, {}, error="ValueError: boom")
@@ -340,6 +350,15 @@ def test_config_validation():
         ExperimentConfig(mode="continuous", eta=-0.1)
     with pytest.raises(ValueError):
         ExperimentConfig(mode="continuous", x0=(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "name", ["n", "N", "p", "trials", "stride", "substeps", "master_seed"]
+)
+@pytest.mark.parametrize("value", [20.0, True, "20"], ids=["float", "bool", "str"])
+def test_config_rejects_non_integer_fields(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        ExperimentConfig(mode="continuous", **{name: value})
 
 
 def test_config_from_dict_rejects_unknown_keys():

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from ivsysid.dynamics import feature_map
 from ivsysid.polyfilter import FilterRankError
 from ivsysid.splitfilters import (
     DesignMatrices,
@@ -18,6 +19,7 @@ from ivsysid.splitfilters import (
 )
 
 identity_features = lambda t, s: s  # noqa: E731
+lorenz_features = lambda t, s: feature_map(t, s, 1.0)  # noqa: E731
 
 
 def test_bank_structure_continuous():
@@ -218,21 +220,42 @@ def test_design_matches_per_window_dot_products(mode, n):
     rng = np.random.default_rng(n)
     for cols in (1, 3):
         y = rng.normal(size=(n, cols)) + 3.0
-        for stride in (1, 2, 3):
-            design = assemble_design(y, bank, identity_features, mu=mu, stride=stride)
-            offsets = range(0, n - 2 * N + 1, stride)
+        cases = [(identity_features, stride) for stride in (1, 2, 3)]
+        if cols == 3:  # the nonlinear Lorenz features build new arrays
+            cases += [(lorenz_features, stride) for stride in (1, 3)]
+        for features, stride in cases:
+            design = assemble_design(y, bank, features, mu=mu, stride=stride)
+            offsets = np.arange(0, n - 2 * N + 1, stride)
+            times = (offsets + N + 0.5) * h
             hat = np.array([y[w + 1 : w + 2 * N : 2].T for w in offsets])
             tilde = np.array([y[w : w + 2 * N : 2].T for w in offsets])
             expected = {
                 "Y": hat @ c_H,
-                "X": hat @ c_G,
-                "Z": rho_truncate(tilde @ c_T, mu),
+                "X": features(times, hat @ c_G),
+                "Z": rho_truncate(features(times, tilde @ c_T), mu),
             }
             for name, want in expected.items():
                 got = getattr(design, name)
                 assert got.shape == want.shape
                 err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-                assert err <= 1e-12, (name, cols, stride, err)
+                assert err <= 1e-12, (name, cols, stride, features, err)
+
+
+def test_feature_map_called_once_per_design():
+    # both parity classes' states go through one call, and every design
+    # column comes out as one contiguous run of memory
+    calls = []
+
+    def features(t, s):
+        calls.append(s.shape)
+        return lorenz_features(t, s)
+
+    bank = build_split_bank("discrete", 10, 0.01, 4)
+    y = np.random.default_rng(5).normal(size=(301, 3))
+    design = assemble_design(y, bank, features, mu=50.0)
+    assert calls == [(2, 282, 3)]
+    for name in ("X", "Y", "Z"):
+        assert getattr(design, name).strides[0] == 8, name
 
 
 def test_fresh_bank_shared_by_threads():
