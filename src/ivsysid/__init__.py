@@ -19,7 +19,6 @@ from .bounds import (
 from .dynamics import (
     DivergenceError,
     LorenzParams,
-    MeasurementSeries,
     Trajectory,
     add_noise,
     feature_map,
@@ -86,7 +85,6 @@ __all__ = [
     "InsufficientDataError",
     "IvConfig",
     "LorenzParams",
-    "MeasurementSeries",
     "MethodStats",
     "OperatorKind",
     "SingularDesignError",

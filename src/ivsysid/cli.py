@@ -86,7 +86,7 @@ def _cmd_simulate(args) -> dict:
     if cfg.eta > 0:
         noisy = add_noise(traj, cfg.eta, trial_seed(cfg.master_seed, 0))
         header += ["z1", "z2", "z3"]
-        columns += [*noisy.values.T]
+        columns += [*noisy.T]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trajectory.csv"
@@ -173,7 +173,7 @@ def _cmd_estimate(args) -> dict:
     ls = ls_estimate(design)
     excitation = excitation_check(design, cfg.lam)
     result = {
-        "n_windows": design.X.shape[0],
+        "n_windows": design.n_windows,
         "excitation": {
             "sigma_min": excitation["sigma_min"],
             "satisfied": bool(excitation["satisfied"]),

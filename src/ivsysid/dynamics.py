@@ -57,19 +57,6 @@ class Trajectory:
             raise ValueError("times must increase with a constant step")
 
 
-@dataclass(frozen=True)
-class MeasurementSeries:
-    """Noise-corrupted states z_i = x(t_i) + N(0, eta * I)."""
-
-    values: np.ndarray
-    noise_variance: float
-    seed: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("measurements contain non-finite entries")
-
-
 def lorenz_rhs(t: float, state: np.ndarray, params: LorenzParams) -> np.ndarray:
     """Right-hand side of the forced Lorenz system."""
     x1, x2, x3 = state
@@ -174,8 +161,8 @@ def integrate(
     return Trajectory(times=times, states=states)
 
 
-def add_noise(traj: Trajectory, eta: float, seed: int) -> MeasurementSeries:
-    """Add i.i.d. N(0, eta) noise to every state component, reproducibly."""
+def add_noise(traj: Trajectory, eta: float, seed: int) -> np.ndarray:
+    """Noise-corrupted states z_i = x(t_i) + N(0, eta * I), (n, 3), reproducibly."""
     if eta < 0:
         raise ValueError(f"noise variance must be >= 0, got {eta}")
     rng = np.random.default_rng(seed)
@@ -183,7 +170,7 @@ def add_noise(traj: Trajectory, eta: float, seed: int) -> MeasurementSeries:
     values = rng.standard_normal(traj.states.shape)
     values *= math.sqrt(eta)
     values += traj.states
-    return MeasurementSeries(values=values, noise_variance=eta, seed=seed)
+    return values
 
 
 #: pseudo-true references by geometry, oldest first; at most

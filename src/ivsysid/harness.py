@@ -80,6 +80,10 @@ class ExperimentConfig:
         for name in ("n", "N", "p", "trials", "stride", "substeps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("h", "eta", "lam", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("h", "lam", "mu"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -178,9 +182,7 @@ def run_trial(
     seed = trial_seed(config.master_seed, trial_index)
     measurements = add_noise(shared.trajectory, config.eta, seed)
     feats = lambda t, s: feature_map(t, s, config.forcing_freq)  # noqa: E731
-    design = assemble_design(
-        measurements.values, shared.bank, feats, config.mu, config.stride
-    )
+    design = assemble_design(measurements, shared.bank, feats, config.mu, config.stride)
     iv = iv_estimate(design, IvConfig(lam=config.lam, mu=config.mu))
     ls = ls_estimate(design)
     excitation = excitation_check(design, config.lam)
@@ -195,7 +197,7 @@ def run_trial(
             "excitation_satisfied": excitation["satisfied"],
             "excitation_margin": excitation["margin"],
             "ls_condition": ls.condition_number,
-            "n_windows": design.X.shape[0],
+            "n_windows": design.n_windows,
         },
     )
 

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from ivsysid.dynamics import LorenzParams, integrate
+
+# fixed examples and no per-example deadline: reruns draw the same cases, and
+# a slow shared machine does not turn into a failure
+settings.register_profile("ivsysid", derandomize=True, deadline=None)
+settings.load_profile("ivsysid")
 
 
 @pytest.fixture(scope="session")

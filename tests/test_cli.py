@@ -184,6 +184,20 @@ def test_benchmark_rejects_non_integer_field(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_benchmark_rejects_non_finite_field(tmp_path, capsys):
+    out = tmp_path / "d"
+    rc, _, err = run_cli(
+        capsys,
+        "benchmark", "--mode", "continuous", "--trials", "3",
+        "--set", "n=3000", "--set", "N=20", "--set", "p=8",
+        "--set", "eta=Infinity", "--out", str(out),
+    )
+    assert rc == 1
+    error = parse_json(err)["error"]
+    assert error == {"type": "ValueError", "message": "eta must be finite, got inf"}
+    assert not out.exists()
+
+
 def test_benchmark_reruns_byte_identical(tmp_path, capsys):
     args = [
         "benchmark", "--mode", "continuous", "--trials", "10", "--seed", "2",

@@ -8,7 +8,6 @@ import pytest
 from ivsysid.dynamics import (
     DivergenceError,
     LorenzParams,
-    MeasurementSeries,
     Trajectory,
     add_noise,
     feature_map,
@@ -134,27 +133,25 @@ def test_add_noise_zero_eta_is_identity(lorenz_trajectory):
     short = Trajectory(
         times=lorenz_trajectory.times[:100], states=lorenz_trajectory.states[:100]
     )
-    series = add_noise(short, 0.0, seed=5)
-    assert np.array_equal(series.values, short.states)
+    assert np.array_equal(add_noise(short, 0.0, seed=5), short.states)
 
 
 def test_add_noise_matches_normal_draws(lorenz_trajectory):
     # the in-place draw gives the bits of states + normal(0, sqrt(eta))
     eta, seed = 0.37, 2024
-    series = add_noise(lorenz_trajectory, eta, seed)
+    noisy = add_noise(lorenz_trajectory, eta, seed)
     shape = lorenz_trajectory.states.shape
     expected = lorenz_trajectory.states + np.random.default_rng(seed).normal(
         0.0, math.sqrt(eta), shape
     )
-    assert np.array_equal(series.values, expected)
+    assert np.array_equal(noisy, expected)
 
 
 def test_add_noise_variance_and_determinism(lorenz_trajectory):
     eta = 0.1
-    series = add_noise(lorenz_trajectory, eta, seed=123)
-    again = add_noise(lorenz_trajectory, eta, seed=123)
-    assert np.array_equal(series.values, again.values)
-    noise = series.values - lorenz_trajectory.states
+    noisy = add_noise(lorenz_trajectory, eta, seed=123)
+    assert np.array_equal(noisy, add_noise(lorenz_trajectory, eta, seed=123))
+    noise = noisy - lorenz_trajectory.states
     assert noise.var() == pytest.approx(eta, rel=0.02)
     # whiteness: lag-1 autocorrelation within 3/sqrt(n)
     flat = noise[:, 0]
@@ -237,7 +234,3 @@ def test_discrete_setup_integrates_once(monkeypatch):
     assert len(calls) == 1
     assert np.array_equal(shared.reference, expected)
 
-
-def test_measurement_series_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        MeasurementSeries(values=np.array([[np.nan, 0, 0]]), noise_variance=0.1, seed=0)

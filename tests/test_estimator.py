@@ -12,7 +12,8 @@ from ivsysid.estimator import (
     iv_estimate,
     ls_estimate,
 )
-from ivsysid.splitfilters import DesignMatrices
+from ivsysid import splitfilters
+from ivsysid.splitfilters import DesignMatrices, assemble_design, build_split_bank
 
 
 def make_design(X, Y, Z=None, times=None):
@@ -150,6 +151,44 @@ def test_ls_matches_lstsq(cond):
     np.testing.assert_allclose(est.theta, theta, rtol=1e-10, atol=0)
     assert est.sigma_min_zx == pytest.approx(1.0, rel=1e-6)
     assert est.condition_number == pytest.approx(cond, rel=1e-6)
+
+
+def _blocked_design(features, monkeypatch, block=16):
+    # 109 windows of a 6-tap bank in blocks of 16: seven blocks
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", block)
+    bank = build_split_bank("continuous", 6, 0.05, 3)
+    y = np.random.default_rng(17).normal(size=(120, 2)) + 3.0
+    return assemble_design(y, bank, features, mu=1e6)
+
+
+def test_ls_rank_deficient_multi_block(monkeypatch):
+    # a duplicated feature column; the SVD fallback reads the rebuilt rows
+    calls = []
+
+    def features(t, s):
+        calls.append(s.shape[1])
+        return np.concatenate([s, s[..., :1]], axis=-1)
+
+    design = _blocked_design(features, monkeypatch)
+    assert calls == [16] * 6 + [13]
+    with pytest.raises(SingularDesignError):
+        ls_estimate(design)
+    assert calls[7:] == [109]
+
+
+def test_ls_multi_block_matches_lstsq(monkeypatch):
+    # cond(X) is about 1e6, so ls_estimate must solve on all rebuilt rows
+    features = lambda t, s: np.concatenate(  # noqa: E731
+        [s, s[..., :1] + 1e-6 * s[..., 1:] ** 2], axis=-1
+    )
+    est = ls_estimate(_blocked_design(features, monkeypatch))
+    whole = _blocked_design(features, monkeypatch, block=10_000)
+    theta, _, _, sv = np.linalg.lstsq(whole.X, whole.Y, rcond=None)
+    assert whole.X.shape == (109, 3)
+    np.testing.assert_allclose(est.theta, theta, rtol=1e-10, atol=0)
+    assert est.sigma_min_zx == pytest.approx(sv[-1] ** 2, rel=1e-6)
+    assert est.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-6)
+    assert est.condition_number > 1e5
 
 
 def test_excitation_check_reads_iv_sigma_min():

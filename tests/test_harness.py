@@ -361,6 +361,13 @@ def test_config_rejects_non_integer_fields(name, value):
         ExperimentConfig(mode="continuous", **{name: value})
 
 
+@pytest.mark.parametrize("name", ["h", "eta", "lam", "mu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_config_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
+        ExperimentConfig(mode="continuous", **{name: value})
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="bogus"):
         config_from_dict({"mode": "continuous", "bogus": 1})

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ivsysid import splitfilters
 from ivsysid.dynamics import feature_map
 from ivsysid.polyfilter import FilterRankError
 from ivsysid.splitfilters import (
@@ -207,11 +211,10 @@ def test_instrument_noise_uncorrelated_with_response():
         assert abs(r) < 3 * se
 
 
-@pytest.mark.parametrize("mode", ["continuous", "discrete"])
-@pytest.mark.parametrize("n", [12, 19, 40])  # 2N exactly, odd, longer
-def test_design_matches_per_window_dot_products(mode, n):
+def _check_against_dot_products(mode, n):
     # oracle: window w applies hat stencils to samples w + 1 + 2k and the
-    # tilde stencil to samples w + 2k, one explicit dot product per row
+    # tilde stencil to samples w + 2k, one explicit dot product per row; the
+    # summed moments must equal those of the oracle's rows
     N, h, mu = 6, 0.05, 4.0
     bank = build_split_bank(mode, N, h, 3)
     c_H = bank.hat_H.coefficients[bank.hat_H.spec.derivative_order]
@@ -234,11 +237,28 @@ def test_design_matches_per_window_dot_products(mode, n):
                 "X": features(times, hat @ c_G),
                 "Z": rho_truncate(features(times, tilde @ c_T), mu),
             }
-            for name, want in expected.items():
+            X, Y, Z = expected["X"], expected["Y"], expected["Z"]
+            moments = {"xx": X.T @ X, "xy": X.T @ Y, "zx": Z.T @ X, "zy": Z.T @ Y}
+            assert design.n_windows == offsets.size
+            for name, want in (expected | moments).items():
                 got = getattr(design, name)
                 assert got.shape == want.shape
                 err = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 assert err <= 1e-12, (name, cols, stride, features, err)
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("n", [12, 19, 40])  # 2N exactly, odd, longer
+def test_design_matches_per_window_dot_products(mode, n):
+    _check_against_dot_products(mode, n)
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_multi_block_design_matches_per_window_dot_products(mode, monkeypatch):
+    # 29 offsets in blocks of 5 (4 at stride 2, 3 at stride 3) make 6 to 10
+    # blocks, each starting at a multiple of the stride
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 5)
+    _check_against_dot_products(mode, 40)
 
 
 def test_feature_map_called_once_per_design():
@@ -280,3 +300,67 @@ def test_fresh_bank_shared_by_threads():
     for design in designs:
         for name in ("X", "Y", "Z"):
             assert np.array_equal(getattr(design, name), getattr(expected, name))
+
+
+# banks for the block-boundary property, built once: N = 6 taps, h = 0.05
+_PROPERTY_BANKS = {
+    mode: build_split_bank(mode, 6, 0.05, 3) for mode in ("continuous", "discrete")
+}
+
+
+@given(
+    mode=st.sampled_from(["continuous", "discrete"]),
+    n=st.integers(12, 160),
+    stride=st.integers(1, 3),
+    block=st.integers(1, 64),
+    t0=st.floats(-5.0, 5.0).filter(lambda t: t != 0.05),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_boundaries_do_not_move_moments(mode, n, stride, block, t0, seed):
+    # any block size gives the window count and moments of the one-block design
+    bank = _PROPERTY_BANKS[mode]
+    y = np.random.default_rng(seed).normal(size=(n, 3)) + 3.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitfilters, "_BLOCK_WINDOWS", block)
+        blocked = assemble_design(y, bank, lorenz_features, mu=20.0, stride=stride, t0=t0)
+        mp.setattr(splitfilters, "_BLOCK_WINDOWS", n)
+        whole = assemble_design(y, bank, lorenz_features, mu=20.0, stride=stride, t0=t0)
+    assert blocked.n_windows == whole.n_windows == (n - 12) // stride + 1
+    for name in ("xx", "xy", "zx", "zy"):
+        got, want = getattr(blocked, name), getattr(whole, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_feature_map_called_once_per_block(monkeypatch):
+    calls = []
+
+    def features(t, s):
+        calls.append(s.shape)
+        return lorenz_features(t, s)
+
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 64)
+    bank = build_split_bank("discrete", 10, 0.01, 4)
+    y = np.random.default_rng(5).normal(size=(301, 3))
+    design = assemble_design(y, bank, features, mu=50.0)
+    assert calls == [(2, 64, 3)] * 4 + [(2, 26, 3)]
+    assert design.n_windows == 282
+    # reading the rows of a multi-block design rebuilds them once
+    assert design.X.shape == (282, 6)
+    assert design.Z.shape == (282, 6) and design.Y.shape == (282, 3)
+    assert calls[5:] == [(2, 282, 3)]
+
+
+def test_design_memory_is_bounded_by_block():
+    # full-length filter outputs, features and instruments would take about
+    # 50 MB at n = 2e5; the blocks keep the peak near 2 MB
+    bank = build_split_bank("discrete", 10, 1e-3, 4)
+    y = np.random.default_rng(7).normal(size=(200_000, 3))
+    assemble_design(y, bank, lorenz_features, mu=200.0)  # fills the spectra cache
+    tracemalloc.start()
+    try:
+        design = assemble_design(y, bank, lorenz_features, mu=200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.n_windows == 200_000 - 20 + 1
+    assert peak < 8e6, peak
