@@ -60,11 +60,9 @@ from .polyfilter import (
 from .splitfilters import (
     DesignMatrices,
     EmptyDesignError,
-    OperatorKind,
     SplitFilterBank,
     assemble_design,
     build_split_bank,
-    model_operators,
     rho_truncate,
 )
 
@@ -86,7 +84,6 @@ __all__ = [
     "IvConfig",
     "LorenzParams",
     "MethodStats",
-    "OperatorKind",
     "SingularDesignError",
     "SplitFilterBank",
     "SummaryStats",
@@ -110,7 +107,6 @@ __all__ = [
     "lorenz_rhs",
     "ls_estimate",
     "mc_check_gamma",
-    "model_operators",
     "operator_norm",
     "pseudo_true_discrete",
     "rho_truncate",

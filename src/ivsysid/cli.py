@@ -126,8 +126,9 @@ def _cmd_filters(args) -> dict:
 
 
 def _read_measurements(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        fields = fh.readline().rstrip("\r\n").split(",")
+    # utf-8-sig drops a leading byte-order mark; header names may be padded
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        fields = [name.strip() for name in fh.readline().split(",")]
         if "t" not in fields:
             raise CliError(f"{path} has no 't' column (found {fields})")
         if all(c in fields for c in ("z1", "z2", "z3")):

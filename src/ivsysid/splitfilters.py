@@ -15,40 +15,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .polyfilter import FilterSpec, FilterWeights, build_filter
 
 
 class EmptyDesignError(ValueError):
     """Not enough samples to place a single regression window."""
-
-
-@dataclass(frozen=True)
-class OperatorKind:
-    """What the response operator measures: a shift or a derivative."""
-
-    tag: Literal["shift", "derivative"]
-    order: int
-
-    def __post_init__(self):
-        if self.tag not in ("shift", "derivative"):
-            raise ValueError(f"unknown operator tag {self.tag!r}")
-        if self.order < 0:
-            raise ValueError("operator order must be >= 0")
-
-
-def model_operators(mode: str) -> tuple[OperatorKind, OperatorKind]:
-    """The (H, G) operator pair for a model class.
-
-    Discrete-time models regress the shifted state on features of the current
-    state; continuous-time models regress the time derivative.
-    """
-    if mode == "discrete":
-        return OperatorKind("shift", 1), OperatorKind("shift", 0)
-    if mode == "continuous":
-        return OperatorKind("derivative", 1), OperatorKind("derivative", 0)
-    raise ValueError(f"mode must be 'continuous' or 'discrete', got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +57,7 @@ class SplitFilterBank:
                 self.hat_G.coefficients[0],
                 self.tilde_G.coefficients[0],
             ])
-            spectra = np.conj(rfft(stencils, nfft, axis=1))
+            spectra = np.conj(np.fft.rfft(stencils, nfft, axis=1))
             self._spectra[nfft] = spectra
         return spectra
 
@@ -114,7 +86,8 @@ def build_split_bank(mode: str, N: int, h: float, p: int) -> SplitFilterBank:
         ValueError: N odd or mode unknown.
         FilterRankError: p > N.
     """
-    model_operators(mode)  # validates mode
+    if mode not in ("continuous", "discrete"):
+        raise ValueError(f"mode must be 'continuous' or 'discrete', got {mode!r}")
     if N % 2 != 0:
         raise ValueError(f"window size must be even for the parity split, got {N}")
     step = 2.0 * h
@@ -211,6 +184,23 @@ def rho_truncate(x: np.ndarray, mu: float) -> np.ndarray:
     return x / (1.0 + norms / mu)[..., None]
 
 
+def _next_fast_len(target: int) -> int:
+    """The smallest 5-smooth length 2^a 3^b 5^c >= target (target >= 1).
+
+    Real transforms of these lengths are the fast ones in pocketfft.
+    """
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndarray:
     """The three stencils' outputs at every window offset, (3, n - 2N + 1, d).
 
@@ -218,8 +208,11 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     With the even subsequence E[j] = m[2j] and the odd one O[j] = m[2j + 1],
     even offsets w = 2a read hat from O[a + k] and tilde from E[a + k]; odd
     offsets w = 2a + 1 read hat from E[a + 1 + k] and tilde from O[a + k].
-    Each subsequence is correlated with all three stencils through its own
-    FFT, so an output never mixes rounding from the other parity class.
+    E and O (one sample shorter when n is odd, then padded with a zero) are
+    stacked as a (2, d, ceil(n/2)) array: one real FFT transforms both, and
+    one inverse FFT of the product with the stencil spectra correlates each
+    line with all three stencils. Every line is transformed on its own, so
+    an output never mixes rounding from the other parity class.
 
     The result is the transposed view of a (3, d, windows) array: each
     component's outputs are one contiguous row.
@@ -227,15 +220,14 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     n, N = measurements.shape[0], bank.base_window
     windows = n - 2 * N + 1
     n_even, n_odd = (windows + 1) // 2, windows // 2
-    nfft = next_fast_len((n + 1) // 2, real=True)
-    spectra = bank.stencil_spectra(nfft)[:, None, :]
-
-    def correlated(sub: np.ndarray) -> np.ndarray:
-        # circular correlation; entries a <= len(sub) - N never wrap
-        return irfft(rfft(sub.T, nfft)[None] * spectra, nfft)
-
-    even = correlated(measurements[0::2])
-    odd = correlated(measurements[1::2])
+    half = (n + 1) // 2
+    nfft = _next_fast_len(half)
+    classes = np.zeros((2, measurements.shape[1], half))
+    classes[0] = measurements[0::2].T
+    classes[1, :, : n // 2] = measurements[1::2].T
+    # circular correlation; entries a <= len(class) - N never wrap
+    spectra = bank.stencil_spectra(nfft)[:, None, None, :]
+    even, odd = np.fft.irfft(np.fft.rfft(classes, nfft) * spectra, nfft).transpose(1, 0, 2, 3)
     out = np.empty((3, measurements.shape[1], windows))
     out[:2, :, 0::2] = odd[:2, :, :n_even]
     out[:2, :, 1::2] = even[:2, :, 1 : n_odd + 1]

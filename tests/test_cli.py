@@ -151,6 +151,27 @@ def test_estimate_rejects_nonfinite_values(tmp_path, capsys):
     assert "'z2'" in error["message"] and "data row 7" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "prefix, header",
+    [("\ufeff", "t,z1,z2,z3"), ("", "t, z1, z2, z3"), ("\ufeff", " t , z1,z2 ,z3 ")],
+)
+def test_estimate_accepts_bom_and_padded_header(tmp_path, capsys, prefix, header):
+    # a spreadsheet export: byte-order mark and spaces around the names
+    common = ["--mode", "continuous", "--set", "N=20", "--set", "p=4"]
+    rng = np.random.default_rng(3)
+    t = (np.arange(3000) + 1) * 1e-3
+    z = np.column_stack([np.sin(t), np.cos(2 * t), t]) + 0.01 * rng.normal(size=(3000, 3))
+    body = "".join(f"{a!r},{b!r},{c!r},{d!r}\n" for a, b, c, d in np.column_stack([t, z]).tolist())
+    plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+    plain.write_text("t,z1,z2,z3\n" + body, encoding="utf-8")
+    odd.write_text(prefix + header + "\n" + body, encoding="utf-8")
+    rc, want, err = run_cli(capsys, "estimate", *common, "--input", str(plain))
+    assert rc == 0, err
+    rc, got, err = run_cli(capsys, "estimate", *common, "--input", str(odd))
+    assert rc == 0, err
+    assert parse_json(got) == parse_json(want)
+
+
 def test_benchmark_manifest_and_overrides(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({

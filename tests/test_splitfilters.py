@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -15,10 +17,10 @@ from ivsysid.polyfilter import FilterRankError
 from ivsysid.splitfilters import (
     DesignMatrices,
     EmptyDesignError,
-    OperatorKind,
+    _next_fast_len,
+    _parity_filtered,
     assemble_design,
     build_split_bank,
-    model_operators,
     rho_truncate,
 )
 
@@ -65,14 +67,66 @@ def test_bank_preconditions():
         build_split_bank("weekly", 100, 0.001, 8)
 
 
-def test_model_operators():
-    H, G = model_operators("discrete")
-    assert (H.tag, H.order) == ("shift", 1)
-    assert (G.tag, G.order) == ("shift", 0)
-    H, G = model_operators("continuous")
-    assert (H.tag, H.order) == ("derivative", 1)
-    with pytest.raises(ValueError):
-        OperatorKind("flip", 1)
+@pytest.mark.parametrize("mode", ["weekly", "Discrete", ""])
+def test_bank_rejects_unknown_mode(mode):
+    with pytest.raises(ValueError, match=r"mode must be 'continuous' or 'discrete', got"):
+        build_split_bank(mode, 100, 0.001, 8)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    mismatched = [
+        t for t in range(1, 20_001) if _next_fast_len(t) != next_fast_len(t, real=True)
+    ]
+    assert mismatched == []
+
+
+def _scipy_parity_filtered(y, bank):
+    # reference: each parity class through its own scipy.fft transform pair
+    from scipy.fft import irfft, next_fast_len, rfft
+
+    n, N = y.shape[0], bank.base_window
+    windows = n - 2 * N + 1
+    nfft = next_fast_len((n + 1) // 2, real=True)
+    stencils = np.stack([
+        bank.hat_H.coefficients[bank.hat_H.spec.derivative_order],
+        bank.hat_G.coefficients[0],
+        bank.tilde_G.coefficients[0],
+    ])
+    spectra = np.conj(rfft(stencils, nfft, axis=1))[:, None, :]
+    even = irfft(rfft(y[0::2].T, nfft)[None] * spectra, nfft)
+    odd = irfft(rfft(y[1::2].T, nfft)[None] * spectra, nfft)
+    out = np.empty((3, y.shape[1], windows))
+    out[:2, :, 0::2] = odd[:2, :, : (windows + 1) // 2]
+    out[:2, :, 1::2] = even[:2, :, 1 : windows // 2 + 1]
+    out[2, :, 0::2] = even[2, :, : (windows + 1) // 2]
+    out[2, :, 1::2] = odd[2, :, : windows // 2]
+    return out.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("n", [200, 201, 9_999])  # 2N, odd, many blocks' worth
+def test_parity_filtered_matches_scipy_reference(mode, n):
+    bank = build_split_bank(mode, 100, 1e-3, 8)
+    y = np.random.default_rng(n).normal(size=(n, 3)) + 3.0
+    got, want = _parity_filtered(y, bank), _scipy_parity_filtered(y, bank)
+    assert got.shape == want.shape == (3, n - 199, 3)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cli_and_harness_import_without_scipy():
+    # a fresh interpreter that imports the package under test, not an installed copy
+    package_root = os.path.dirname(os.path.dirname(splitfilters.__file__))
+    code = (
+        "import sys, ivsysid.cli, ivsysid.harness; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=package_root)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_hat_and_tilde_agree_on_linear_signal():
