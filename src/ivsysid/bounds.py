@@ -113,13 +113,3 @@ def ideal_window(h: float, p: int) -> float:
         raise ValueError(f"need p >= 1, got {p}")
     return h ** (-2.0 * p / (2.0 * p + 1.0))
 
-
-def holder_moment_order(q: float, epsilon: float = 1.0) -> float:
-    """Moment order inflation q -> q(1 + 1/epsilon) from the Hoelder split.
-
-    epsilon trades moment order between the two factors of the error
-    decomposition; nothing optimizes over it here, it is a plain knob.
-    """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return q * (1.0 + 1.0 / epsilon)

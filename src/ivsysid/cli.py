@@ -23,6 +23,7 @@ from .dynamics import LorenzParams, add_noise, feature_map, integrate
 from .estimator import IvConfig, excitation_check, iv_estimate, ls_estimate
 from .harness import (
     ExperimentConfig,
+    _fmt,
     apply_overrides,
     load_config,
     run_experiment,
@@ -40,10 +41,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse's default error() exits with usage text; we want error JSON
     def error(self, message):
         raise CliError(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:

@@ -10,7 +10,6 @@ sparse 6x3 theta.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +54,6 @@ class Trajectory:
             np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-9)
         ):
             raise ValueError("times must increase with a constant step")
-
-
-def lorenz_rhs(t: float, state: np.ndarray, params: LorenzParams) -> np.ndarray:
-    """Right-hand side of the forced Lorenz system."""
-    x1, x2, x3 = state
-    s, r, b = params.sigma, params.rho, params.beta
-    drive = math.sin(2.0 * math.pi * params.forcing_freq * t)
-    return np.array(
-        [s * (x2 - x1), x1 * (r - x3) - x2, drive + x1 * x2 - b * x3]
-    )
 
 
 def feature_map(t, state, f: float = 1.0) -> np.ndarray:
@@ -173,13 +162,6 @@ def add_noise(traj: Trajectory, eta: float, seed: int) -> np.ndarray:
     return values
 
 
-#: pseudo-true references by geometry, oldest first; at most
-#: _PSEUDO_TRUE_CACHE_SIZE are kept
-_pseudo_true_cache: dict[tuple, np.ndarray] = {}
-_PSEUDO_TRUE_CACHE_SIZE = 8
-_pseudo_true_lock = threading.Lock()
-
-
 def pseudo_true_discrete(config, trajectory: Trajectory | None = None) -> np.ndarray:
     """Zero-noise least-squares reference for the discrete-time model.
 
@@ -187,28 +169,13 @@ def pseudo_true_discrete(config, trajectory: Trajectory | None = None) -> np.nda
     closed-form parameter matrix exists; the convention is to measure
     estimation error against the value the least-squares estimator converges
     to on noiseless data. That value is a pure function of the pipeline
-    geometry, so it is computed once per configuration and cached; the
-    cache keeps the most recent few configurations. `config`
-    must provide mode, n, h, N, p, stride, substeps, forcing_freq and x0,
-    with p already feasible for the split window. `trajectory`, when given,
-    must be the noiseless path those fields describe; it saves integrating
-    that path again.
+    geometry. `config` must provide mode, n, h, N, p, stride, substeps,
+    forcing_freq and x0, with p already feasible for the split window.
+    `trajectory`, when given, must be the noiseless path those fields
+    describe; it saves integrating that path again.
     """
     if config.mode != "discrete":
         raise ValueError("pseudo-true reference applies to discrete mode only")
-    key = (
-        config.n,
-        config.h,
-        config.N,
-        config.p,
-        config.stride,
-        config.substeps,
-        config.forcing_freq,
-        tuple(config.x0),
-    )
-    cached = _pseudo_true_cache.get(key)
-    if cached is not None:
-        return cached
     if trajectory is None:
         params = LorenzParams(forcing_freq=config.forcing_freq)
         trajectory = integrate(params, config.x0, config.h, config.n, config.substeps)
@@ -216,10 +183,4 @@ def pseudo_true_discrete(config, trajectory: Trajectory | None = None) -> np.nda
     feats = lambda t, state: feature_map(t, state, config.forcing_freq)  # noqa: E731
     # mu only shapes the instruments, which least squares never reads
     design = assemble_design(trajectory.states, bank, feats, mu=1e9, stride=config.stride)
-    theta = ls_estimate(design).theta
-    theta.setflags(write=False)
-    with _pseudo_true_lock:
-        _pseudo_true_cache[key] = theta
-        while len(_pseudo_true_cache) > _PSEUDO_TRUE_CACHE_SIZE:
-            del _pseudo_true_cache[next(iter(_pseudo_true_cache))]
-    return theta
+    return ls_estimate(design).theta

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -70,9 +71,6 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'continuous' or 'discrete', got {self.mode!r}")
         if self.eta is None:
             object.__setattr__(self, "eta", 0.1 if self.mode == "continuous" else 1.0)
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        if len(self.x0) != 3:
-            raise ValueError("x0 must have three components")
         for name in ("n", "N", "p", "trials", "stride", "substeps", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -80,8 +78,12 @@ class ExperimentConfig:
         for name in ("n", "N", "p", "trials", "stride", "substeps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("h", "eta", "lam", "mu"):
+        if self.N % 2:
+            raise ValueError(f"N must be even for the parity split, got {self.N}")
+        for name in ("h", "eta", "lam", "mu", "forcing_freq"):
             value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("h", "lam", "mu"):
@@ -89,6 +91,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
+        x0 = tuple(self.x0) if isinstance(self.x0, (list, tuple)) else ()
+        if len(x0) != 3 or not all(_is_real(v) and math.isfinite(v) for v in x0):
+            raise ValueError(f"x0 must be three finite reals, got {self.x0!r}")
+        object.__setattr__(self, "x0", tuple(float(v) for v in x0))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -137,6 +147,10 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
     If the configured exactness degree cannot be built on the split window
     (rank or conditioning failure), fall back to FALLBACK_P with a warning.
     """
+    if config.n < 2 * config.N:
+        raise ValueError(
+            f"n={config.n} samples do not fill one window of 2N={2 * config.N} samples"
+        )
     params = LorenzParams(forcing_freq=config.forcing_freq)
     trajectory = integrate(params, config.x0, config.h, config.n, config.substeps)
     p_used = config.p
@@ -261,8 +275,10 @@ def summarize(
     """Normalized bias/std/rmse (percent) over the successful trials."""
     ok = [r for r in results if r.error is None]
     if len(ok) < 2:
+        errors = [r.error for r in results if r.error is not None]
+        first = f"; first failure: {errors[0]}" if errors else ""
         raise InsufficientDataError(
-            f"need at least 2 successful trials, got {len(ok)}"
+            f"need at least 2 successful trials, got {len(ok)}{first}"
         )
     iv = np.stack([r.theta_iv for r in ok])
     ls = np.stack([r.theta_ls for r in ok])
@@ -459,10 +475,9 @@ def run_experiment(
     """Full benchmark: trials, statistics, bootstrap SEs, CSV/JSON outputs.
 
     Writes trials.csv, summary.json and kde.csv into out_dir and returns the
-    summary dict.
+    summary dict. out_dir is created only once the statistics succeed, so a
+    failed run leaves no empty directory behind.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     shared = prepare_shared(config)
     results = run_monte_carlo(config, workers=workers, shared=shared)
     stats = summarize(results, shared.reference, shared.reference_kind)
@@ -470,6 +485,8 @@ def run_experiment(
     stats.iv = replace(stats.iv, **ses["iv"])
     stats.ls = replace(stats.ls, **ses["ls"])
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(out / "trials.csv", results)
     summary = summary_dict(config, shared, results, stats)
     with (out / "summary.json").open("w") as fh:

@@ -168,43 +168,3 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
-
-def apply_filter(weights: FilterWeights, samples: np.ndarray, row: int) -> float:
-    """Contract derivative row `row` against a window of samples.
-
-    Args:
-        weights: a solved stencil.
-        samples: the N sample values f(h), ..., f(Nh).
-        row: derivative order, 0 <= row <= m.
-
-    Returns:
-        The stencil's estimate of f^(row) at location i0 * h.
-    """
-    samples = np.asarray(samples, dtype=float)
-    N = weights.spec.window_size
-    if samples.shape != (N,):
-        raise ValueError(f"expected {N} samples, got shape {samples.shape}")
-    if not 0 <= row <= weights.spec.max_derivative:
-        raise ValueError(f"row {row} out of range 0..{weights.spec.max_derivative}")
-    return float(weights.coefficients[row] @ samples)
-
-
-def operator_norm(weights: FilterWeights) -> float:
-    """Spectral norm of the coefficient matrix (noise amplification factor)."""
-    return float(np.linalg.norm(weights.coefficients, 2))
-
-
-def theoretical_rates(spec: FilterSpec) -> dict[str, float]:
-    """Rate expressions for the stencil's bias and noise, without constants.
-
-    Returns:
-        dict with bias_order = (N*h)**(p - d), the Taylor-remainder scale of
-        the systematic error, and noise_order = N**(-d - 1/2) * h**(-d), the
-        scale of the stencil's response to white measurement noise.
-    """
-    N, h = spec.window_size, spec.step
-    p, d = spec.exactness_degree, spec.derivative_order
-    return {
-        "bias_order": float((N * h) ** (p - d)),
-        "noise_order": float(N ** (-d - 0.5) * h ** (-d)),
-    }

@@ -10,7 +10,6 @@ from ivsysid.bounds import (
     GammaValue,
     corollary_rate,
     gamma,
-    holder_moment_order,
     ideal_window,
     mc_check_gamma,
 )
@@ -108,13 +107,6 @@ def test_ideal_window_values():
     assert ideal_window(1e-3, 500) == pytest.approx(1e3, rel=0.02)
     with pytest.raises(ValueError):
         ideal_window(1.5, 2)
-
-
-def test_holder_moment_order():
-    assert holder_moment_order(2.0) == 4.0
-    assert holder_moment_order(2.0, epsilon=2.0) == 3.0
-    with pytest.raises(ValueError):
-        holder_moment_order(2.0, epsilon=0.0)
 
 
 def test_gamma_value_total():

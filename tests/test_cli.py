@@ -219,6 +219,55 @@ def test_benchmark_rejects_non_finite_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (['h="abc"'], "h must be a real number, got 'abc'"),
+        (["eta=true"], "eta must be a real number, got True"),
+        (["forcing_freq=NaN"], "forcing_freq must be finite, got nan"),
+        (["x0=5"], "x0 must be three finite reals, got 5"),
+        (["x0=[NaN,0,0]"], "x0 must be three finite reals, got [nan, 0, 0]"),
+        (["N=21"], "N must be even for the parity split, got 21"),
+        (["n=30", "N=20"], "n=30 samples do not fill one window of 2N=40 samples"),
+    ],
+    ids=["str", "bool", "nan-freq", "scalar-x0", "nan-x0", "odd-N", "short-n"],
+)
+def test_benchmark_rejects_bad_field(tmp_path, capsys, overrides, message):
+    out = tmp_path / "d"
+    sets = [arg for item in ["p=8", *overrides] for arg in ("--set", item)]
+    rc, _, err = run_cli(
+        capsys, "benchmark", "--mode", "continuous", "--trials", "3", *sets, "--out", str(out)
+    )
+    assert rc == 1
+    assert parse_json(err)["error"] == {"type": "ValueError", "message": message}
+    assert not out.exists()
+
+
+def test_benchmark_failure_leaves_no_output_dir(tmp_path, capsys):
+    out = tmp_path / "d"
+    rc, _, err = run_cli(
+        capsys,
+        "benchmark", "--mode", "continuous", "--trials", "3",
+        "--set", "n=3000", "--set", "N=4", "--set", "p=8", "--out", str(out),
+    )
+    assert rc == 1
+    assert parse_json(err)["error"]["type"] == "FilterRankError"
+    assert not out.exists()
+
+
+def test_estimate_rejects_file_shorter_than_a_window(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    rows = ["t,z1,z2,z3"] + [f"{(i + 1) * 1e-3!r},1,2,3" for i in range(30)]
+    path.write_text("\n".join(rows) + "\n")
+    rc, _, err = run_cli(
+        capsys, "estimate", "--mode", "continuous", "--set", "N=20", "--set", "p=4",
+        "--input", str(path),
+    )
+    assert rc == 1
+    message = parse_json(err)["error"]["message"]
+    assert "40 samples" in message and "got 30" in message
+
+
 def test_benchmark_reruns_byte_identical(tmp_path, capsys):
     args = [
         "benchmark", "--mode", "continuous", "--trials", "10", "--seed", "2",

@@ -12,10 +12,18 @@ from ivsysid.dynamics import (
     add_noise,
     feature_map,
     integrate,
-    lorenz_rhs,
     pseudo_true_discrete,
     true_theta,
 )
+
+
+def lorenz_rhs(t: float, state: np.ndarray, params: LorenzParams) -> np.ndarray:
+    # right-hand side of the forced Lorenz system, written independently of
+    # the inlined stages in integrate: the oracle for its RK4 step
+    x1, x2, x3 = state
+    s, r, b = params.sigma, params.rho, params.beta
+    drive = math.sin(2.0 * math.pi * params.forcing_freq * t)
+    return np.array([s * (x2 - x1), x1 * (r - x3) - x2, drive + x1 * x2 - b * x3])
 
 
 def test_rhs_fixed_point_at_origin_t0():
@@ -180,39 +188,12 @@ def test_pseudo_true_first_order_trend():
     assert errs[2] < 0.2 * errs[1]
 
 
-def test_pseudo_true_cached():
-    from ivsysid.dynamics import _pseudo_true_cache
+def test_pseudo_true_rejects_continuous_mode():
     from ivsysid.harness import ExperimentConfig
 
-    config = ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
-    _pseudo_true_cache.clear()
-    a = pseudo_true_discrete(config)
-    b = pseudo_true_discrete(config)
-    assert a is b
-    assert len(_pseudo_true_cache) == 1
-    with pytest.raises(ValueError):
-        pseudo_true_discrete(
-            ExperimentConfig(mode="continuous", n=300, h=5e-3, N=10, p=4, trials=1)
-        )
-
-
-def test_pseudo_true_cache_is_bounded():
-    from ivsysid import dynamics
-    from ivsysid.harness import ExperimentConfig
-
-    dynamics._pseudo_true_cache.clear()
-    configs = [
-        ExperimentConfig(mode="discrete", n=200 + k, h=5e-3, N=10, p=4, trials=1, substeps=2)
-        for k in range(dynamics._PSEUDO_TRUE_CACHE_SIZE + 4)
-    ]
-    for config in configs:
+    config = ExperimentConfig(mode="continuous", n=300, h=5e-3, N=10, p=4, trials=1)
+    with pytest.raises(ValueError, match="discrete mode only"):
         pseudo_true_discrete(config)
-        assert len(dynamics._pseudo_true_cache) <= dynamics._PSEUDO_TRUE_CACHE_SIZE
-    # the oldest entries went first (the key starts with n)
-    kept = {key[0] for key in dynamics._pseudo_true_cache}
-    assert kept == {c.n for c in configs[-dynamics._PSEUDO_TRUE_CACHE_SIZE :]}
-    assert pseudo_true_discrete(configs[-1]) is pseudo_true_discrete(configs[-1])
-    dynamics._pseudo_true_cache.clear()
 
 
 def test_discrete_setup_integrates_once(monkeypatch):
@@ -222,9 +203,7 @@ def test_discrete_setup_integrates_once(monkeypatch):
     import ivsysid.harness as harness
 
     config = harness.ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
-    dynamics._pseudo_true_cache.clear()
     expected = pseudo_true_discrete(config)
-    dynamics._pseudo_true_cache.clear()
     calls = []
     monkeypatch.setattr(
         harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)

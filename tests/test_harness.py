@@ -262,6 +262,11 @@ def test_failed_trials_are_recorded(small_shared, monkeypatch):
     assert summary["failures"] == [
         {"trial_index": 1, "error": "ValueError: injected failure"}
     ]
+    # too few successes: the error quotes the first recorded failure
+    with pytest.raises(
+        InsufficientDataError, match=r"got 1; first failure: ValueError: injected failure$"
+    ):
+        summarize(results[:2], small_shared.reference)
 
 
 def test_trial_programming_errors_propagate(small_shared, monkeypatch):
@@ -361,11 +366,42 @@ def test_config_rejects_non_integer_fields(name, value):
         ExperimentConfig(mode="continuous", **{name: value})
 
 
-@pytest.mark.parametrize("name", ["h", "eta", "lam", "mu"])
+@pytest.mark.parametrize("name", ["h", "eta", "lam", "mu", "forcing_freq"])
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 def test_config_rejects_non_finite_fields(name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value!r}$"):
         ExperimentConfig(mode="continuous", **{name: value})
+
+
+@pytest.mark.parametrize("name", ["h", "eta", "lam", "mu", "forcing_freq"])
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "str"])
+def test_config_rejects_non_real_fields(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {value!r}$"):
+        ExperimentConfig(mode="continuous", **{name: value})
+
+
+def test_config_accepts_integer_reals():
+    # a JSON manifest writes 1 for 1.0
+    cfg = ExperimentConfig(mode="continuous", h=1, eta=0, lam=2, mu=300, forcing_freq=3)
+    assert (cfg.h, cfg.eta, cfg.lam, cfg.mu, cfg.forcing_freq) == (1, 0, 2, 300, 3)
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [5, "abc", [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [math.nan, 0, 0], [0, math.inf, 0],
+     [0, 0, "1"], [True, 0, 0]],
+)
+def test_config_rejects_bad_x0(x0):
+    with pytest.raises(ValueError, match=r"^x0 must be three finite reals, got "):
+        ExperimentConfig(mode="continuous", x0=x0)
+
+
+def test_prepare_shared_rejects_series_shorter_than_a_window():
+    cfg = ExperimentConfig(mode="continuous", n=39, N=20, p=4, trials=2)
+    for mode in ("continuous", "discrete"):
+        with pytest.raises(ValueError, match=r"^n=39 samples do not fill one window of 2N=40"):
+            prepare_shared(replace(cfg, mode=mode))
+    assert prepare_shared(replace(cfg, n=40)).trajectory.states.shape == (40, 3)
 
 
 def test_config_from_dict_rejects_unknown_keys():

@@ -385,6 +385,49 @@ def test_block_boundaries_do_not_move_moments(mode, n, stride, block, t0, seed):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
+# banks for the time-origin property: a power-of-two step keeps every window
+# time exact in binary
+_DYADIC_BANKS = {
+    mode: build_split_bank(mode, 6, 1 / 32, 3) for mode in ("continuous", "discrete")
+}
+
+
+@given(
+    mode=st.sampled_from(["continuous", "discrete"]),
+    n=st.integers(12, 160),
+    stride=st.integers(1, 3),
+    block=st.integers(1, 16),
+    start=st.integers(-64, 64),
+    shift=st.integers(-64, 64).filter(lambda k: k != 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_origin_shift_moves_only_the_forcing_phase(
+    mode, n, stride, block, start, shift, seed
+):
+    # origins in sixteenths keep the times exact, so they move by exactly the shift
+    bank = _DYADIC_BANKS[mode]
+    f = 1.3
+    y = np.random.default_rng(seed).normal(size=(n, 3)) + 3.0
+    t0, moved = start / 16, (start + shift) / 16
+    features = lambda t, s: feature_map(t, s, f)  # noqa: E731
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitfilters, "_BLOCK_WINDOWS", block)
+        a = assemble_design(y, bank, features, mu=20.0, stride=stride, t0=t0)
+        b = assemble_design(y, bank, features, mu=20.0, stride=stride, t0=moved)
+    assert a.n_windows == b.n_windows == (n - 12) // stride + 1
+    assert np.array_equal(a.Y, b.Y)
+    assert np.array_equal(a.X[:, 1:], b.X[:, 1:])
+    assert np.array_equal(a.xx[1:, 1:], b.xx[1:, 1:])
+    assert np.array_equal(a.xy[1:], b.xy[1:])
+    assert np.array_equal(b.times - a.times, np.full(a.n_windows, shift / 16))
+    for design in (a, b):
+        assert np.array_equal(design.X[:, 0], np.sin(2.0 * np.pi * f * design.times))
+        # the blocks' drive moments follow the same times as the rebuilt rows
+        np.testing.assert_allclose(
+            design.xy[0], design.X[:, 0] @ design.Y, rtol=1e-12, atol=1e-12
+        )
+
+
 def test_feature_map_called_once_per_block(monkeypatch):
     calls = []
 
