@@ -61,14 +61,16 @@ def feature_map(t, state, f: float = 1.0) -> np.ndarray:
 
     Broadcasts: t may be a scalar or (n,) vector with state (3,), (n, 3) or
     any (..., n, 3) stack; output replaces the state's trailing axis with
-    one of length 6. The features are stacked along the first axis and the
-    result is a view with them moved last, so each feature is contiguous.
+    one of length 6. The features are written into one array along its
+    first axis and the result is a view with them moved last, so each
+    feature is contiguous.
     """
     state = np.asarray(state, dtype=float)
-    x1, x2, x3 = state[..., 0], state[..., 1], state[..., 2]
-    drive = np.sin(2.0 * np.pi * f * np.asarray(t, dtype=float))
-    drive = np.broadcast_to(drive, x1.shape)
-    return np.moveaxis(np.stack([drive, x1, x2, x3, x1 * x2, x1 * x3]), 0, -1)
+    out = np.empty((6,) + state.shape[:-1])
+    out[0] = np.sin(2.0 * np.pi * f * np.asarray(t, dtype=float))
+    out[1:4] = np.moveaxis(state, -1, 0)
+    np.multiply(out[1:2], out[2:4], out=out[4:6])  # x1*x2, x1*x3
+    return np.moveaxis(out, 0, -1)
 
 
 def true_theta() -> np.ndarray:

@@ -20,9 +20,12 @@ from .splitfilters import DesignMatrices
 class SingularDesignError(ValueError):
     """X is numerically rank deficient; carries the offending sigma_min."""
 
-    def __init__(self, sigma_min: float):
+    def __init__(self, sigma_min: float, n_windows: int):
         self.sigma_min = sigma_min
-        super().__init__(f"regressor matrix is rank deficient (sigma_min={sigma_min:.3e})")
+        super().__init__(
+            f"regressor matrix is rank deficient "
+            f"(sigma_min={sigma_min:.3e}, n_windows={n_windows})"
+        )
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,10 @@ def _ls_svd(design: DesignMatrices) -> Estimate:
     X, Y = design.X, design.Y
     theta, _, rank, sv = np.linalg.lstsq(X, Y, rcond=None)
     if rank < X.shape[1]:
-        raise SingularDesignError(float(sv[-1]))
+        # lstsq returns min(rows, features) singular values; with fewer rows
+        # than features the directions it leaves out have sigma = 0
+        sigma_min = float(sv[-1]) if sv.size == X.shape[1] else 0.0
+        raise SingularDesignError(sigma_min, design.n_windows)
     return Estimate(
         theta=theta,
         sigma_min_zx=float(sv[-1] ** 2),

@@ -291,13 +291,25 @@ def summarize(
     )
 
 
+#: (resample, trial) entries drawn per bootstrap block: max(1, this // T)
+#: resamples at a time, so a block's indices and weights take about 1 MB each
+#: whatever the trial count T.
+_BOOTSTRAP_BLOCK_ENTRIES = 131_072
+
+
 def bootstrap_se(
     results: list[TrialResult],
     reference: np.ndarray,
     B: int = 1000,
     seed: int = 0,
 ) -> dict[str, dict[str, float]]:
-    """Nonparametric bootstrap standard errors for the three statistics."""
+    """Nonparametric bootstrap standard errors for the three statistics.
+
+    The B resamples are drawn and reduced in blocks of rows; the draws are
+    those of one (B, T) call, since the generator's stream does not depend
+    on how it is split. Each resample's bias, std and rmse go into a (3, B)
+    array per estimator, and the standard errors are taken from those.
+    """
     if B < 100:
         raise ValueError(f"need B >= 100 resamples, got {B}")
     ok = [r for r in results if r.error is None]
@@ -307,12 +319,8 @@ def bootstrap_se(
         )
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB5]))
     T = len(ok)
-    idx = rng.integers(0, T, size=(B, T))
-    # resample b as weights: weights[b, t] = (times trial t was drawn) / T
-    flat = (idx + T * np.arange(B)[:, None]).ravel()
-    weights = np.bincount(flat, minlength=B * T).reshape(B, T) / T
     refnorm = np.linalg.norm(reference)
-    out: dict[str, dict[str, float]] = {}
+    per_trial = {}
     for name, thetas in (
         ("iv", np.stack([r.theta_iv for r in ok])),
         ("ls", np.stack([r.theta_ls for r in ok])),
@@ -321,17 +329,34 @@ def bootstrap_se(
         # E_w|d|^2 - |E_w d|^2 free of cancellation
         center = thetas.mean(axis=0)
         dev = (thetas - center).reshape(T, -1)  # (T, 18)
-        dev_means = weights @ dev  # (B, 18)
-        bias = np.linalg.norm(dev_means + (center - reference).ravel(), axis=1) / refnorm
-        rmse = np.sqrt(weights @ np.sum((thetas - reference) ** 2, axis=(1, 2))) / refnorm
-        var = weights @ np.sum(dev**2, axis=1) - np.sum(dev_means**2, axis=1)
-        std = np.sqrt(np.maximum(var, 0.0)) / refnorm
-        out[name] = {
-            "bias_se": float(100.0 * bias.std(ddof=1)),
-            "std_se": float(100.0 * std.std(ddof=1)),
-            "rmse_se": float(100.0 * rmse.std(ddof=1)),
+        per_trial[name] = (
+            dev,
+            (center - reference).ravel(),
+            np.sum(dev**2, axis=1),
+            np.sum((thetas - reference) ** 2, axis=(1, 2)),
+        )
+    resampled = {name: np.empty((3, B)) for name in per_trial}  # bias, std, rmse
+    rows = max(1, _BOOTSTRAP_BLOCK_ENTRIES // T)
+    for b0 in range(0, B, rows):
+        b1 = min(b0 + rows, B)
+        idx = rng.integers(0, T, size=(b1 - b0, T))
+        # resample b as weights: weights[b, t] = (times trial t was drawn) / T
+        idx += T * np.arange(b1 - b0)[:, None]
+        weights = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape) / T
+        for name, (dev, offset, dev_sq, err_sq) in per_trial.items():
+            dev_means = weights @ dev  # (rows, 18)
+            var = weights @ dev_sq - np.sum(dev_means**2, axis=1)
+            block = resampled[name][:, b0:b1]
+            block[0] = np.linalg.norm(dev_means + offset, axis=1) / refnorm
+            block[1] = np.sqrt(np.maximum(var, 0.0)) / refnorm
+            block[2] = np.sqrt(weights @ err_sq) / refnorm
+    return {
+        name: {
+            key: float(100.0 * stat.std(ddof=1))
+            for key, stat in zip(("bias_se", "std_se", "rmse_se"), stats)
         }
-    return out
+        for name, stats in resampled.items()
+    }
 
 
 def kde_export(
@@ -350,6 +375,7 @@ def kde_export(
         raise InsufficientDataError(f"need at least 10 trials for a density, got {len(ok)}")
     rows: list[dict] = []
     T = len(ok)
+    kernel = np.empty((grid_points, T))
     for name, thetas in (
         ("iv", np.stack([r.theta_iv for r in ok])),
         ("ls", np.stack([r.theta_ls for r in ok])),
@@ -362,9 +388,13 @@ def kde_export(
                 scale = max(sd, max(abs(mean), 1.0) * 1e-9)
                 bw = 1.06 * scale * T ** (-0.2)
                 grid = np.linspace(mean - 4 * scale, mean + 4 * scale, grid_points)
-                dens = np.exp(
-                    -0.5 * ((grid[:, None] - samples[None, :]) / bw) ** 2
-                ).sum(axis=1) / (T * bw * math.sqrt(2 * math.pi))
+                # exp(-0.5 * ((grid - samples) / bw) ** 2), in the one reused buffer
+                np.subtract.outer(grid, samples, out=kernel)
+                kernel /= bw
+                kernel *= kernel
+                kernel *= -0.5
+                dens = np.exp(kernel, out=kernel).sum(axis=1)
+                dens /= T * bw * math.sqrt(2 * math.pi)
                 ref_val = float(reference[r_i, c_i])
                 rows.extend(
                     {

@@ -137,6 +137,15 @@ def test_ls_rank_deficient():
         ls_estimate(make_design(X, rng.normal(size=(200, 2))))
 
 
+def test_ls_fewer_rows_than_features_reports_zero_sigma_min():
+    # lstsq returns only two singular values for a 2-row design, both nonzero;
+    # the four directions it leaves out have sigma = 0
+    X = np.random.default_rng(18).normal(size=(2, 6))
+    with pytest.raises(SingularDesignError, match=r"sigma_min=0\.000e\+00, n_windows=2\)") as exc:
+        ls_estimate(make_design(X, np.ones((2, 3))))
+    assert exc.value.sigma_min == 0.0
+
+
 @pytest.mark.parametrize("cond", [10.0, 1e6])  # moment solve; SVD fallback
 def test_ls_matches_lstsq(cond):
     rng = np.random.default_rng(15)

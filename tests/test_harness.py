@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivsysid import harness
 from ivsysid.bounds import ideal_window
 from ivsysid.dynamics import true_theta
+from ivsysid.estimator import SingularDesignError
 from ivsysid.harness import (
     ExperimentConfig,
     InsufficientDataError,
@@ -142,6 +146,78 @@ def test_bootstrap_validation():
         bootstrap_se([TrialResult(0, ref, ref, {})], ref)
 
 
+def _one_shot_bootstrap_se(results, reference, B, seed):
+    # the whole-matrix formula: all B resamples as one (B, T) weight matrix
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB5]))
+    T = len(results)
+    idx = rng.integers(0, T, size=(B, T))
+    flat = (idx + T * np.arange(B)[:, None]).ravel()
+    weights = np.bincount(flat, minlength=B * T).reshape(B, T) / T
+    refnorm = np.linalg.norm(reference)
+    out = {}
+    for name in ("iv", "ls"):
+        thetas = np.stack([getattr(r, f"theta_{name}") for r in results])
+        center = thetas.mean(axis=0)
+        dev = (thetas - center).reshape(T, -1)
+        dev_means = weights @ dev
+        bias = np.linalg.norm(dev_means + (center - reference).ravel(), axis=1) / refnorm
+        rmse = np.sqrt(weights @ np.sum((thetas - reference) ** 2, axis=(1, 2))) / refnorm
+        var = weights @ np.sum(dev**2, axis=1) - np.sum(dev_means**2, axis=1)
+        std = np.sqrt(np.maximum(var, 0.0)) / refnorm
+        out[name] = {
+            "bias_se": float(100.0 * bias.std(ddof=1)),
+            "std_se": float(100.0 * std.std(ddof=1)),
+            "rmse_se": float(100.0 * rmse.std(ddof=1)),
+        }
+    return out
+
+
+def _block_rows(T: int) -> int:
+    return max(1, harness._BOOTSTRAP_BLOCK_ENTRIES // T)
+
+
+@pytest.mark.parametrize("T", [12, 240, 2000])
+@pytest.mark.parametrize("B", [100, 1000, "two blocks and a part"])
+def test_bootstrap_blocks_match_one_shot_weights(T, B):
+    if B == "two blocks and a part":
+        B = 2 * _block_rows(T) + 7
+    ref = true_theta()
+    results = _gaussian_results(T, seed=T)
+    got = bootstrap_se(results, ref, B=B, seed=3)
+    want = _one_shot_bootstrap_se(results, ref, B, seed=3)
+    for method in ("iv", "ls"):
+        for key, value in want[method].items():
+            assert math.isclose(got[method][key], value, rel_tol=1e-13), (method, key)
+
+
+@pytest.mark.parametrize("T", [24, 239, 240, 1999, 2000, 2001])
+def test_blockwise_integer_draws_equal_one_draw(T):
+    # the bootstrap's resamples do not depend on how its draw is split
+    B = 1000
+    whole = np.random.default_rng(np.random.SeedSequence([0, 0xB5])).integers(
+        0, T, size=(B, T)
+    )
+    for rows in (_block_rows(T), 7):
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0xB5]))
+        blocks = [
+            rng.integers(0, T, size=(min(rows, B - b0), T)) for b0 in range(0, B, rows)
+        ]
+        assert np.array_equal(np.concatenate(blocks), whole), rows
+
+
+def test_bootstrap_memory_is_bounded_by_block():
+    # the (1000, 2000) weights, indices and counts of one draw took 61 MB
+    ref = true_theta()
+    results = _gaussian_results(2000, seed=23)
+    tracemalloc.start()
+    try:
+        bootstrap_se(results, ref, B=1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
 def test_kde_densities_integrate_to_one():
     ref = true_theta()
     rows = kde_export(_gaussian_results(40, seed=13), ref, grid_points=256)
@@ -168,6 +244,23 @@ def test_kde_degenerate_samples_peak_at_value():
     assert grid[np.argmax(dens)] == pytest.approx(value, abs=1e-6)
     assert abs(np.trapezoid(dens, grid) - 1.0) < 2e-3
     assert first[0]["reference_value"] == ref[0, 0]
+
+
+def test_kde_density_matches_one_expression():
+    # the kernel is formed in one buffer, with the same operations in order
+    ref = true_theta()
+    results = _gaussian_results(40, seed=17)
+    rows = kde_export(results, ref, grid_points=64)
+    samples = np.array([r.theta_ls[2, 1] for r in results])
+    mean, sd = float(samples.mean()), float(samples.std())
+    bw = 1.06 * sd * 40 ** (-0.2)
+    grid = np.linspace(mean - 4 * sd, mean + 4 * sd, 64)
+    want = np.exp(-0.5 * ((grid[:, None] - samples[None, :]) / bw) ** 2).sum(axis=1) / (
+        40 * bw * math.sqrt(2 * math.pi)
+    )
+    got = [r for r in rows if (r["estimator"], r["entry_row"], r["entry_col"]) == ("ls", 2, 1)]
+    assert [r["grid_value"] for r in got] == grid.tolist()
+    assert [r["density"] for r in got] == want.tolist()
 
 
 def test_kde_needs_ten_trials():
@@ -214,6 +307,24 @@ def test_workers_do_not_change_results(small_shared):
     for rs, rt in zip(serial, threaded):
         assert np.array_equal(rs.theta_iv, rt.theta_iv)
         assert np.array_equal(rs.theta_ls, rt.theta_ls)
+
+
+@settings(max_examples=20)
+@given(
+    master_seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 7),
+    eta=st.sampled_from([0.0, 0.05, 2.0]),
+)
+def test_worker_count_does_not_change_any_trial(small_shared, master_seed, trials, eta):
+    cfg = replace(SMALL, master_seed=master_seed, trials=trials, eta=eta)
+    serial = run_monte_carlo(cfg, shared=small_shared)
+    threaded = run_monte_carlo(cfg, workers=3, shared=small_shared)
+    assert [r.trial_index for r in threaded] == list(range(trials))
+    for rs, rt in zip(serial, threaded):
+        assert rs.theta_iv.tobytes() == rt.theta_iv.tobytes()
+        assert rs.theta_ls.tobytes() == rt.theta_ls.tobytes()
+        assert rs.diagnostics == rt.diagnostics
+        assert rs.error is rt.error is None
 
 
 def test_trial_diagnostics(small_shared):
@@ -402,6 +513,13 @@ def test_prepare_shared_rejects_series_shorter_than_a_window():
         with pytest.raises(ValueError, match=r"^n=39 samples do not fill one window of 2N=40"):
             prepare_shared(replace(cfg, mode=mode))
     assert prepare_shared(replace(cfg, n=40)).trajectory.states.shape == (40, 3)
+
+
+def test_one_window_discrete_setup_reports_zero_sigma_min():
+    # the pseudo-true solve sees one window for six features
+    cfg = ExperimentConfig(mode="discrete", n=40, N=20, p=8, trials=2)
+    with pytest.raises(SingularDesignError, match=r"sigma_min=0\.000e\+00, n_windows=1\)"):
+        prepare_shared(cfg)
 
 
 def test_config_from_dict_rejects_unknown_keys():

@@ -428,6 +428,49 @@ def test_time_origin_shift_moves_only_the_forcing_phase(
         )
 
 
+@given(
+    mode=st.sampled_from(["continuous", "discrete"]),
+    n=st.integers(12, 200),
+    cols=st.integers(1, 3),
+    a=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parity_filtered_is_linear(mode, n, cols, a, seed):
+    bank = _PROPERTY_BANKS[mode]
+    m1, m2 = np.random.default_rng(seed).normal(size=(2, n, cols)) + 3.0
+    f1, f2 = _parity_filtered(m1, bank), _parity_filtered(m2, bank)
+    got = _parity_filtered(a * m1 + m2, bank)
+    # relative to each stencil's output scale
+    scale = abs(a) * np.max(np.abs(f1), axis=(1, 2)) + np.max(np.abs(f2), axis=(1, 2))
+    err = np.max(np.abs(got - (a * f1 + f2)), axis=(1, 2))
+    assert np.all(err <= 1e-12 * scale), (err, scale)
+
+
+@given(
+    mode=st.sampled_from(["continuous", "discrete"]),
+    n=st.integers(12, 160),
+    stride=st.integers(2, 5),
+    block=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strided_rows_are_every_sth_unit_stride_row(mode, n, stride, block, seed):
+    # the rows agree when rebuilt, and the blocks' moments agree with theirs
+    bank = _PROPERTY_BANKS[mode]
+    y = np.random.default_rng(seed).normal(size=(n, 3)) + 3.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitfilters, "_BLOCK_WINDOWS", block)
+        strided = assemble_design(y, bank, lorenz_features, mu=20.0, stride=stride)
+        unit = assemble_design(y, bank, lorenz_features, mu=20.0)
+    rows = {name: getattr(unit, name)[::stride] for name in ("X", "Y", "Z", "times")}
+    X, Y, Z = rows["X"], rows["Y"], rows["Z"]
+    moments = {"xx": X.T @ X, "xy": X.T @ Y, "zx": Z.T @ X, "zy": Z.T @ Y}
+    assert strided.n_windows == rows["times"].shape[0] == (n - 12) // stride + 1
+    for name, want in (moments | rows).items():
+        got = getattr(strided, name)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
 def test_feature_map_called_once_per_block(monkeypatch):
     calls = []
 
