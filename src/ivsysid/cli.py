@@ -9,7 +9,6 @@ print to stderr as JSON with a nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -23,11 +22,11 @@ from .dynamics import LorenzParams, add_noise, feature_map, integrate
 from .estimator import IvConfig, excitation_check, iv_estimate, ls_estimate
 from .harness import (
     ExperimentConfig,
-    _fmt,
     apply_overrides,
     load_config,
     run_experiment,
     trial_seed,
+    write_csv,
 )
 from .polyfilter import FilterSpec, build_filter
 from .splitfilters import assemble_design, build_split_bank
@@ -87,11 +86,7 @@ def _cmd_simulate(args) -> dict:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trajectory.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(path, header, zip(*columns))
     return {"written": [str(path)], "rows": cfg.n, "noisy": cfg.eta > 0}
 
 
@@ -109,11 +104,8 @@ def _cmd_filters(args) -> dict:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "stencil.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k"] + [f"weight_d{d}" for d in range(m + 1)])
-        for k in range(args.N):
-            writer.writerow([k] + [_fmt(w) for w in weights.coefficients[:, k]])
+    header = ["k"] + [f"weight_d{d}" for d in range(m + 1)]
+    write_csv(path, header, zip(range(args.N), *weights.coefficients))
     return {
         "written": [str(path)],
         "window_size": args.N,

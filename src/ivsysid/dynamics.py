@@ -164,23 +164,19 @@ def add_noise(traj: Trajectory, eta: float, seed: int) -> np.ndarray:
     return values
 
 
-def pseudo_true_discrete(config, trajectory: Trajectory | None = None) -> np.ndarray:
+def pseudo_true_discrete(config, trajectory: Trajectory) -> np.ndarray:
     """Zero-noise least-squares reference for the discrete-time model.
 
     The discrete pipeline estimates the one-step transition map, for which no
     closed-form parameter matrix exists; the convention is to measure
     estimation error against the value the least-squares estimator converges
     to on noiseless data. That value is a pure function of the pipeline
-    geometry. `config` must provide mode, n, h, N, p, stride, substeps,
-    forcing_freq and x0, with p already feasible for the split window.
-    `trajectory`, when given, must be the noiseless path those fields
-    describe; it saves integrating that path again.
+    geometry. `config` must provide mode, h, N, p, stride and forcing_freq,
+    with p already feasible for the split window; `trajectory` is the
+    noiseless path that config describes.
     """
     if config.mode != "discrete":
         raise ValueError("pseudo-true reference applies to discrete mode only")
-    if trajectory is None:
-        params = LorenzParams(forcing_freq=config.forcing_freq)
-        trajectory = integrate(params, config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("discrete", config.N, config.h, config.p)
     feats = lambda t, state: feature_map(t, state, config.forcing_freq)  # noqa: E731
     # mu only shapes the instruments, which least squares never reads

@@ -209,8 +209,6 @@ def run_trial(
             "sigma_min_zx": iv.sigma_min_zx,
             "clipped_directions": iv.clipped_directions,
             "excitation_satisfied": excitation["satisfied"],
-            "excitation_margin": excitation["margin"],
-            "ls_condition": ls.condition_number,
             "n_windows": design.n_windows,
         },
     )
@@ -248,10 +246,8 @@ def run_monte_carlo(
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(config.trials)))
-    else:
-        results = [one(i) for i in range(config.trials)]
-    return sorted(results, key=lambda r: r.trial_index)
+            return list(pool.map(one, range(config.trials)))  # in input order
+    return [one(i) for i in range(config.trials)]
 
 
 def _stats(thetas: np.ndarray, reference: np.ndarray) -> tuple[float, float, float]:
@@ -267,27 +263,30 @@ def _stats(thetas: np.ndarray, reference: np.ndarray) -> tuple[float, float, flo
     return 100.0 * bias, 100.0 * std, 100.0 * rmse
 
 
+def _successful(results: list[TrialResult], need: int) -> tuple[np.ndarray, np.ndarray]:
+    """The IV and LS estimates of the successful trials, stacked to (T, 6, 3)."""
+    ok = [r for r in results if r.error is None]
+    if len(ok) < need:
+        first = next((f"; first failure: {r.error}" for r in results if r.error is not None), "")
+        raise InsufficientDataError(
+            f"need at least {need} successful trials, got {len(ok)}{first}"
+        )
+    return np.stack([r.theta_iv for r in ok]), np.stack([r.theta_ls for r in ok])
+
+
 def summarize(
     results: list[TrialResult],
     reference: np.ndarray,
     reference_kind: str = "ground_truth",
 ) -> SummaryStats:
     """Normalized bias/std/rmse (percent) over the successful trials."""
-    ok = [r for r in results if r.error is None]
-    if len(ok) < 2:
-        errors = [r.error for r in results if r.error is not None]
-        first = f"; first failure: {errors[0]}" if errors else ""
-        raise InsufficientDataError(
-            f"need at least 2 successful trials, got {len(ok)}{first}"
-        )
-    iv = np.stack([r.theta_iv for r in ok])
-    ls = np.stack([r.theta_ls for r in ok])
+    iv, ls = _successful(results, 2)
     return SummaryStats(
         iv=MethodStats(*_stats(iv, reference)),
         ls=MethodStats(*_stats(ls, reference)),
         reference=reference_kind,
-        n_trials=len(ok),
-        n_failed=len(results) - len(ok),
+        n_trials=len(iv),
+        n_failed=len(results) - len(iv),
     )
 
 
@@ -312,19 +311,12 @@ def bootstrap_se(
     """
     if B < 100:
         raise ValueError(f"need B >= 100 resamples, got {B}")
-    ok = [r for r in results if r.error is None]
-    if len(ok) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 successful trials, got {len(ok)}"
-        )
+    iv, ls = _successful(results, 2)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB5]))
-    T = len(ok)
+    T = len(iv)
     refnorm = np.linalg.norm(reference)
     per_trial = {}
-    for name, thetas in (
-        ("iv", np.stack([r.theta_iv for r in ok])),
-        ("ls", np.stack([r.theta_ls for r in ok])),
-    ):
+    for name, thetas in (("iv", iv), ("ls", ls)):
         # deviations from the full-sample mean keep the resampled variance
         # E_w|d|^2 - |E_w d|^2 free of cancellation
         center = thetas.mean(axis=0)
@@ -363,23 +355,20 @@ def kde_export(
     results: list[TrialResult],
     reference: np.ndarray,
     grid_points: int = 256,
-) -> list[dict]:
+) -> list[tuple]:
     """Gaussian kernel density per parameter entry and estimator.
 
     Bandwidth follows the normal-reference rule 1.06 * sd * T^(-1/5); the
     grid spans the sample mean +/- 4 sd. Degenerate (constant) samples get a
-    single narrow peak at their value.
+    single narrow peak at their value. Returns one curve per entry and
+    estimator: (entry_row, entry_col, estimator, grid, density, sample_mean,
+    reference_value), with the grid and the density as arrays.
     """
-    ok = [r for r in results if r.error is None]
-    if len(ok) < 10:
-        raise InsufficientDataError(f"need at least 10 trials for a density, got {len(ok)}")
-    rows: list[dict] = []
-    T = len(ok)
+    iv, ls = _successful(results, 10)
+    curves: list[tuple] = []
+    T = len(iv)
     kernel = np.empty((grid_points, T))
-    for name, thetas in (
-        ("iv", np.stack([r.theta_iv for r in ok])),
-        ("ls", np.stack([r.theta_ls for r in ok])),
-    ):
+    for name, thetas in (("iv", iv), ("ls", ls)):
         for r_i in range(reference.shape[0]):
             for c_i in range(reference.shape[1]):
                 samples = thetas[:, r_i, c_i]
@@ -395,47 +384,36 @@ def kde_export(
                 kernel *= -0.5
                 dens = np.exp(kernel, out=kernel).sum(axis=1)
                 dens /= T * bw * math.sqrt(2 * math.pi)
-                ref_val = float(reference[r_i, c_i])
-                rows.extend(
-                    {
-                        "entry_row": r_i,
-                        "entry_col": c_i,
-                        "estimator": name,
-                        "grid_value": float(g),
-                        "density": float(d),
-                        "sample_mean": mean,
-                        "reference_value": ref_val,
-                    }
-                    for g, d in zip(grid, dens)
-                )
-    return rows
+                curves.append((r_i, c_i, name, grid, dens, mean, float(reference[r_i, c_i])))
+    return curves
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header and rows as CSV, floats as .17g and other cells as str() gives them.
+
+    .17g reads back to the same float, so every output round-trips exactly.
+    """
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_trials_csv(path: Path, results: list[TrialResult]) -> None:
     header = ["trial_index", "estimator"]
     header += [f"theta_{r}_{c}" for r in range(6) for c in range(3)]
     header += ["sigma_min_zx", "clipped_directions"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for res in results:
-            if res.error is not None:
-                continue
-            diag = res.diagnostics
-            for name, theta in (("iv", res.theta_iv), ("ls", res.theta_ls)):
-                row = [res.trial_index, name]
-                row += [_fmt(v) for v in theta.ravel()]
-                row += [_fmt(diag.get("sigma_min_zx", "")), diag.get("clipped_directions", "")]
-                writer.writerow(row)
+    rows = (
+        [res.trial_index, name, *theta.ravel().tolist()]
+        + [res.diagnostics["sigma_min_zx"], res.diagnostics["clipped_directions"]]
+        for res in results
+        if res.error is None
+        for name, theta in (("iv", res.theta_iv), ("ls", res.theta_ls))
+    )
+    write_csv(path, header, rows)
 
 
-def write_kde_csv(path: Path, rows: list[dict]) -> None:
+def write_kde_csv(path: Path, curves: list[tuple]) -> None:
     fields = [
         "entry_row",
         "entry_col",
@@ -445,11 +423,13 @@ def write_kde_csv(path: Path, rows: list[dict]) -> None:
         "sample_mean",
         "reference_value",
     ]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt(row[f]) for f in fields])
+    # one row per grid point of each curve, made as it is written
+    rows = (
+        (r_i, c_i, name, g, d, mean, ref)
+        for r_i, c_i, name, grid, dens, mean, ref in curves
+        for g, d in zip(grid.tolist(), dens.tolist())
+    )
+    write_csv(path, fields, rows)
 
 
 def summary_dict(
@@ -500,7 +480,6 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path,
     workers: int = 1,
-    kde_grid_points: int = 256,
 ) -> dict:
     """Full benchmark: trials, statistics, bootstrap SEs, CSV/JSON outputs.
 
@@ -522,9 +501,8 @@ def run_experiment(
     with (out / "summary.json").open("w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    ok = [r for r in results if r.error is None]
-    if len(ok) >= 10:
-        write_kde_csv(out / "kde.csv", kde_export(results, shared.reference, kde_grid_points))
+    if stats.n_trials >= 10:
+        write_kde_csv(out / "kde.csv", kde_export(results, shared.reference))
     return summary
 
 

@@ -181,7 +181,8 @@ def test_pseudo_true_first_order_trend():
         config = ExperimentConfig(
             mode="discrete", n=round(4.0 / h), h=h, N=8, p=4, trials=1, substeps=4
         )
-        pt = pseudo_true_discrete(config)
+        trajectory = integrate(LorenzParams(), config.x0, h, config.n, config.substeps)
+        pt = pseudo_true_discrete(config, trajectory)
         expected = lift + h * theta0
         errs.append(np.linalg.norm(pt - expected, "fro") / h)
     assert errs[1] < 0.2 * errs[0]
@@ -192,18 +193,20 @@ def test_pseudo_true_rejects_continuous_mode():
     from ivsysid.harness import ExperimentConfig
 
     config = ExperimentConfig(mode="continuous", n=300, h=5e-3, N=10, p=4, trials=1)
+    trajectory = integrate(LorenzParams(), config.x0, config.h, config.n, config.substeps)
     with pytest.raises(ValueError, match="discrete mode only"):
-        pseudo_true_discrete(config)
+        pseudo_true_discrete(config, trajectory)
 
 
 def test_discrete_setup_integrates_once(monkeypatch):
     # prepare_shared hands its trajectory to the pseudo-true reference, which
-    # then gives the same value as when it integrates the path itself
+    # gives the same value as on a path integrated here
     import ivsysid.dynamics as dynamics
     import ivsysid.harness as harness
 
     config = harness.ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
-    expected = pseudo_true_discrete(config)
+    trajectory = integrate(LorenzParams(), config.x0, config.h, config.n, config.substeps)
+    expected = pseudo_true_discrete(config, trajectory)
     calls = []
     monkeypatch.setattr(
         harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)

@@ -30,6 +30,8 @@ from ivsysid.harness import (
     summarize,
     summary_dict,
     trial_seed,
+    write_csv,
+    write_kde_csv,
     write_trials_csv,
 )
 from ivsysid.polyfilter import FilterRankError
@@ -218,39 +220,37 @@ def test_bootstrap_memory_is_bounded_by_block():
     assert peak < 10e6, peak
 
 
+def _curves_by_entry(curves: list[tuple]) -> dict[tuple, tuple]:
+    # (estimator, entry_row, entry_col) -> (grid, density, sample_mean, reference_value)
+    return {(name, r, c): rest for r, c, name, *rest in curves}
+
+
 def test_kde_densities_integrate_to_one():
     ref = true_theta()
-    rows = kde_export(_gaussian_results(40, seed=13), ref, grid_points=256)
-    assert len(rows) == 2 * 18 * 256
-    by_group: dict[tuple, list[dict]] = {}
-    for row in rows:
-        by_group.setdefault(
-            (row["estimator"], row["entry_row"], row["entry_col"]), []
-        ).append(row)
-    assert len(by_group) == 36
-    for group in by_group.values():
-        grid = np.array([r["grid_value"] for r in group])
-        dens = np.array([r["density"] for r in group])
+    curves = kde_export(_gaussian_results(40, seed=13), ref, grid_points=256)
+    assert len(curves) == 2 * 18
+    by_entry = _curves_by_entry(curves)
+    assert len(by_entry) == 36
+    for grid, dens, _, _ in by_entry.values():
+        assert grid.shape == dens.shape == (256,)
         assert abs(np.trapezoid(dens, grid) - 1.0) < 2e-3
 
 
 def test_kde_degenerate_samples_peak_at_value():
     ref = true_theta()
-    rows = kde_export(_results_from(np.stack([ref + 0.5] * 16)), ref)
-    first = [r for r in rows if (r["estimator"], r["entry_row"], r["entry_col"]) == ("iv", 0, 0)]
-    grid = np.array([r["grid_value"] for r in first])
-    dens = np.array([r["density"] for r in first])
+    curves = kde_export(_results_from(np.stack([ref + 0.5] * 16)), ref)
+    grid, dens, _, reference_value = _curves_by_entry(curves)[("iv", 0, 0)]
     value = ref[0, 0] + 0.5
     assert grid[np.argmax(dens)] == pytest.approx(value, abs=1e-6)
     assert abs(np.trapezoid(dens, grid) - 1.0) < 2e-3
-    assert first[0]["reference_value"] == ref[0, 0]
+    assert reference_value == ref[0, 0]
 
 
 def test_kde_density_matches_one_expression():
     # the kernel is formed in one buffer, with the same operations in order
     ref = true_theta()
     results = _gaussian_results(40, seed=17)
-    rows = kde_export(results, ref, grid_points=64)
+    curves = kde_export(results, ref, grid_points=64)
     samples = np.array([r.theta_ls[2, 1] for r in results])
     mean, sd = float(samples.mean()), float(samples.std())
     bw = 1.06 * sd * 40 ** (-0.2)
@@ -258,15 +258,55 @@ def test_kde_density_matches_one_expression():
     want = np.exp(-0.5 * ((grid[:, None] - samples[None, :]) / bw) ** 2).sum(axis=1) / (
         40 * bw * math.sqrt(2 * math.pi)
     )
-    got = [r for r in rows if (r["estimator"], r["entry_row"], r["entry_col"]) == ("ls", 2, 1)]
-    assert [r["grid_value"] for r in got] == grid.tolist()
-    assert [r["density"] for r in got] == want.tolist()
+    got_grid, got_dens, _, _ = _curves_by_entry(curves)[("ls", 2, 1)]
+    assert got_grid.tolist() == grid.tolist()
+    assert got_dens.tolist() == want.tolist()
 
 
 def test_kde_needs_ten_trials():
     ref = true_theta()
     with pytest.raises(InsufficientDataError):
         kde_export(_gaussian_results(9, seed=1), ref)
+
+
+@pytest.mark.parametrize("statistic", [summarize, bootstrap_se, kde_export])
+def test_all_failed_trials_name_the_first_failure(statistic):
+    results = [
+        TrialResult(i, None, None, {}, error=f"SingularDesignError: trial {i}") for i in range(12)
+    ]
+    with pytest.raises(
+        InsufficientDataError, match=r"got 0; first failure: SingularDesignError: trial 0$"
+    ):
+        statistic(results, true_theta())
+
+
+def test_kde_csv_writes_each_curve_point_as_a_row(tmp_path):
+    ref = true_theta()
+    curves = kde_export(_gaussian_results(12, seed=3), ref, grid_points=5)
+    path = tmp_path / "kde.csv"
+    write_kde_csv(path, curves)
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == [
+        "entry_row", "entry_col", "estimator", "grid_value", "density", "sample_mean",
+        "reference_value",
+    ]
+    assert len(lines) == 1 + 36 * 5
+    r, c, name, grid, dens, mean, ref_val = curves[-1]
+    cells = [grid[-1], dens[-1], mean, ref_val]
+    assert lines[-1] == f"{r},{c},{name}," + ",".join(f"{v:.17g}" for v in cells)
+
+
+def test_write_csv_format(tmp_path):
+    # floats as .17g (they read back exactly), ints and strings as they are,
+    # numpy floats like Python floats, and the csv module's CRLF line ends
+    path = tmp_path / "out.csv"
+    third = 1.0 / 3.0
+    rows = [[1, "iv", third], (np.float64(0.1), 2.0, -7), iter([6.02e23])]
+    write_csv(path, ["a", "b", "c"], rows)
+    assert path.read_bytes() == (
+        b"a,b,c\r\n1,iv,0.33333333333333331\r\n0.10000000000000001,2,-7\r\n6.02e+23\r\n"
+    )
+    assert float(path.read_text().split("\n")[1].split(",")[2]) == third
 
 
 def test_trial_seed_is_stable_and_distinct():
