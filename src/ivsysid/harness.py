@@ -263,6 +263,13 @@ def _stats(thetas: np.ndarray, reference: np.ndarray) -> tuple[float, float, flo
     return 100.0 * bias, 100.0 * std, 100.0 * rmse
 
 
+#: Successful trials needed for the statistics and bootstrap SEs, and for the KDE.
+_MIN_TRIALS = 2
+_KDE_MIN_TRIALS = 10
+#: Points on each KDE curve's grid.
+_KDE_GRID_POINTS = 256
+
+
 def _successful(results: list[TrialResult], need: int) -> tuple[np.ndarray, np.ndarray]:
     """The IV and LS estimates of the successful trials, stacked to (T, 6, 3)."""
     ok = [r for r in results if r.error is None]
@@ -280,7 +287,7 @@ def summarize(
     reference_kind: str = "ground_truth",
 ) -> SummaryStats:
     """Normalized bias/std/rmse (percent) over the successful trials."""
-    iv, ls = _successful(results, 2)
+    iv, ls = _successful(results, _MIN_TRIALS)
     return SummaryStats(
         iv=MethodStats(*_stats(iv, reference)),
         ls=MethodStats(*_stats(ls, reference)),
@@ -311,7 +318,7 @@ def bootstrap_se(
     """
     if B < 100:
         raise ValueError(f"need B >= 100 resamples, got {B}")
-    iv, ls = _successful(results, 2)
+    iv, ls = _successful(results, _MIN_TRIALS)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB5]))
     T = len(iv)
     refnorm = np.linalg.norm(reference)
@@ -354,7 +361,6 @@ def bootstrap_se(
 def kde_export(
     results: list[TrialResult],
     reference: np.ndarray,
-    grid_points: int = 256,
 ) -> list[tuple]:
     """Gaussian kernel density per parameter entry and estimator.
 
@@ -364,10 +370,10 @@ def kde_export(
     estimator: (entry_row, entry_col, estimator, grid, density, sample_mean,
     reference_value), with the grid and the density as arrays.
     """
-    iv, ls = _successful(results, 10)
+    iv, ls = _successful(results, _KDE_MIN_TRIALS)
     curves: list[tuple] = []
     T = len(iv)
-    kernel = np.empty((grid_points, T))
+    kernel = np.empty((_KDE_GRID_POINTS, T))
     for name, thetas in (("iv", iv), ("ls", ls)):
         for r_i in range(reference.shape[0]):
             for c_i in range(reference.shape[1]):
@@ -376,7 +382,7 @@ def kde_export(
                 sd = float(samples.std())
                 scale = max(sd, max(abs(mean), 1.0) * 1e-9)
                 bw = 1.06 * scale * T ** (-0.2)
-                grid = np.linspace(mean - 4 * scale, mean + 4 * scale, grid_points)
+                grid = np.linspace(mean - 4 * scale, mean + 4 * scale, _KDE_GRID_POINTS)
                 # exp(-0.5 * ((grid - samples) / bw) ** 2), in the one reused buffer
                 np.subtract.outer(grid, samples, out=kernel)
                 kernel /= bw
@@ -501,7 +507,7 @@ def run_experiment(
     with (out / "summary.json").open("w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if stats.n_trials >= 10:
+    if stats.n_trials >= _KDE_MIN_TRIALS:
         write_kde_csv(out / "kde.csv", kde_export(results, shared.reference))
     return summary
 

@@ -227,7 +227,7 @@ def _curves_by_entry(curves: list[tuple]) -> dict[tuple, tuple]:
 
 def test_kde_densities_integrate_to_one():
     ref = true_theta()
-    curves = kde_export(_gaussian_results(40, seed=13), ref, grid_points=256)
+    curves = kde_export(_gaussian_results(40, seed=13), ref)
     assert len(curves) == 2 * 18
     by_entry = _curves_by_entry(curves)
     assert len(by_entry) == 36
@@ -250,11 +250,11 @@ def test_kde_density_matches_one_expression():
     # the kernel is formed in one buffer, with the same operations in order
     ref = true_theta()
     results = _gaussian_results(40, seed=17)
-    curves = kde_export(results, ref, grid_points=64)
+    curves = kde_export(results, ref)
     samples = np.array([r.theta_ls[2, 1] for r in results])
     mean, sd = float(samples.mean()), float(samples.std())
     bw = 1.06 * sd * 40 ** (-0.2)
-    grid = np.linspace(mean - 4 * sd, mean + 4 * sd, 64)
+    grid = np.linspace(mean - 4 * sd, mean + 4 * sd, 256)
     want = np.exp(-0.5 * ((grid[:, None] - samples[None, :]) / bw) ** 2).sum(axis=1) / (
         40 * bw * math.sqrt(2 * math.pi)
     )
@@ -282,7 +282,7 @@ def test_all_failed_trials_name_the_first_failure(statistic):
 
 def test_kde_csv_writes_each_curve_point_as_a_row(tmp_path):
     ref = true_theta()
-    curves = kde_export(_gaussian_results(12, seed=3), ref, grid_points=5)
+    curves = kde_export(_gaussian_results(12, seed=3), ref)
     path = tmp_path / "kde.csv"
     write_kde_csv(path, curves)
     lines = path.read_text().splitlines()
@@ -290,7 +290,7 @@ def test_kde_csv_writes_each_curve_point_as_a_row(tmp_path):
         "entry_row", "entry_col", "estimator", "grid_value", "density", "sample_mean",
         "reference_value",
     ]
-    assert len(lines) == 1 + 36 * 5
+    assert len(lines) == 1 + 36 * 256
     r, c, name, grid, dens, mean, ref_val = curves[-1]
     cells = [grid[-1], dens[-1], mean, ref_val]
     assert lines[-1] == f"{r},{c},{name}," + ",".join(f"{v:.17g}" for v in cells)
