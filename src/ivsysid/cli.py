@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import GammaParams, corollary_rate, gamma, ideal_window, mc_check_gamma
-from .dynamics import LorenzParams, add_noise, feature_map, integrate
+from .dynamics import add_noise, feature_map, integrate
 from .estimator import IvConfig, excitation_check, iv_estimate, ls_estimate
 from .harness import (
     ExperimentConfig,
@@ -75,8 +75,7 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> dict:
     cfg = _resolve_config(args)
-    params = LorenzParams(forcing_freq=cfg.forcing_freq)
-    traj = integrate(params, cfg.x0, cfg.h, cfg.n, cfg.substeps)
+    traj = integrate(cfg.x0, cfg.h, cfg.n, cfg.substeps, cfg.forcing_freq)
     header = ["t", "x1", "x2", "x3"]
     columns = [traj.times, *traj.states.T]
     if cfg.eta > 0:
@@ -161,15 +160,7 @@ def _cmd_estimate(args) -> dict:
     design = assemble_design(values, bank, feats, cfg.mu, cfg.stride, t0=float(times[0]))
     iv = iv_estimate(design, IvConfig(lam=cfg.lam, mu=cfg.mu))
     ls = ls_estimate(design)
-    excitation = excitation_check(design, cfg.lam)
-    result = {
-        "n_windows": design.n_windows,
-        "excitation": {
-            "sigma_min": excitation["sigma_min"],
-            "satisfied": bool(excitation["satisfied"]),
-            "margin": excitation["margin"],
-        },
-    }
+    result = {"n_windows": design.n_windows, "excitation": excitation_check(iv, cfg.lam)}
     for name, est in (("iv", iv), ("ls", ls)):
         result[name] = {
             "theta": est.theta.tolist(),

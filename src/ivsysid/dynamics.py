@@ -26,17 +26,9 @@ class DivergenceError(RuntimeError):
         super().__init__(f"state became non-finite at output step {step}")
 
 
-@dataclass(frozen=True)
-class LorenzParams:
-    sigma: float = 10.0
-    rho: float = 28.0
-    beta: float = 8.0 / 3.0
-    forcing_freq: float = 1.0
-
-    def __post_init__(self):
-        for name in ("sigma", "rho", "beta", "forcing_freq"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+#: Lorenz parameters sigma, rho and beta of the benchmark system, read by both
+#: integrate and true_theta.
+_SIGMA, _RHO, _BETA = 10.0, 28.0, 8.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -78,9 +70,9 @@ def true_theta() -> np.ndarray:
     return np.array(
         [
             [0.0, 0.0, 1.0],
-            [-10.0, 28.0, 0.0],
-            [10.0, -1.0, 0.0],
-            [0.0, 0.0, -8.0 / 3.0],
+            [-_SIGMA, _RHO, 0.0],
+            [_SIGMA, -1.0, 0.0],
+            [0.0, 0.0, -_BETA],
             [0.0, 0.0, 1.0],
             [0.0, -1.0, 0.0],
         ]
@@ -88,14 +80,15 @@ def true_theta() -> np.ndarray:
 
 
 def integrate(
-    params: LorenzParams,
     x0,
     h: float,
     n: int,
     substeps: int = 1,
+    forcing_freq: float = 1.0,
 ) -> Trajectory:
     """Fixed-step classical 4th-order integration from x0 at t = 0.
 
+    The drive on the third component is sin(2*pi*forcing_freq*t).
     Each output step of length h is integrated with `substeps` internal
     stages; output sample i sits at time (i + 1) * h, so the initial
     condition itself is not part of the trajectory.
@@ -108,8 +101,8 @@ def integrate(
         raise ValueError(f"step h must be positive, got {h}")
     if n < 1 or substeps < 1:
         raise ValueError("n and substeps must be >= 1")
-    s, r, b = params.sigma, params.rho, params.beta
-    tpf = 2.0 * math.pi * params.forcing_freq
+    s, r, b = _SIGMA, _RHO, _BETA
+    tpf = 2.0 * math.pi * forcing_freq
     dt = h / substeps
     hdt = dt / 2.0
     sdt = dt / 6.0

@@ -18,7 +18,7 @@ from .splitfilters import DesignMatrices
 
 
 class SingularDesignError(ValueError):
-    """X is numerically rank deficient; carries the offending sigma_min."""
+    """X is numerically rank deficient; carries lambda_min(X'X) as sigma_min."""
 
     def __init__(self, sigma_min: float, n_windows: int):
         self.sigma_min = sigma_min
@@ -107,8 +107,8 @@ def iv_estimate(design: DesignMatrices, config: IvConfig) -> Estimate:
 
 
 #: Largest eigenvalue ratio of X'X solved from its eigendecomposition. The
-#: normal equations lose about eps * ratio in relative accuracy (1e-8 here);
-#: above it, and for a singular or non-finite X'X, the SVD solve on X decides.
+#: normal equations lose about eps * ratio in relative accuracy (1e-8 here).
+#: Above it, X'X scaled to unit diagonal must meet the same limit.
 _GRAM_RATIO_LIMIT = 1e8
 
 
@@ -116,50 +116,49 @@ def ls_estimate(design: DesignMatrices) -> Estimate:
     """Ordinary least squares baseline: theta = (X'X)^-1 X'Y.
 
     Solves from an eigendecomposition of the moment X'X. When X'X is too
-    ill-conditioned for that to be accurate, solves min ||X theta - Y||_F by
-    an SVD of X instead.
+    ill-conditioned for that to be accurate, solves it scaled to unit
+    diagonal, which removes the spread that the features' units add (van der
+    Sluis, 1969).
 
     Raises:
-        SingularDesignError: X numerically rank deficient.
+        SingularDesignError: fewer windows than features, or X'X too
+            ill-conditioned even when scaled.
     """
-    evals, V = np.linalg.eigh(design.xx)
-    if not evals[0] * _GRAM_RATIO_LIMIT > evals[-1]:
-        return _ls_svd(design)
-    return Estimate(
-        theta=V @ ((V.T @ design.xy) / evals[:, None]),
-        sigma_min_zx=float(evals[0]),
-        clipped_directions=0,
-        method="ls",
-        condition_number=float(np.sqrt(evals[-1] / evals[0])),
-    )
-
-
-def _ls_svd(design: DesignMatrices) -> Estimate:
-    X, Y = design.X, design.Y
-    theta, _, rank, sv = np.linalg.lstsq(X, Y, rcond=None)
-    if rank < X.shape[1]:
-        # lstsq returns min(rows, features) singular values; with fewer rows
-        # than features the directions it leaves out have sigma = 0
-        sigma_min = float(sv[-1]) if sv.size == X.shape[1] else 0.0
-        raise SingularDesignError(sigma_min, design.n_windows)
+    xx, n = design.xx, design.n_windows
+    if n < xx.shape[0]:
+        raise SingularDesignError(0.0, n)
+    evals, V = np.linalg.eigh(xx)
+    if evals[0] * _GRAM_RATIO_LIMIT > evals[-1]:
+        theta, lam_min = V @ ((V.T @ design.xy) / evals[:, None]), evals[0]
+    else:
+        # X'X = D S D with D^2 = diag(X'X) and S = W diag(s) W', so
+        # (X'X)^-1 = B B' with B = D^-1 W diag(s)^-1/2, and 1/||B||^2 = lambda_min(X'X)
+        scale = np.sqrt(np.diag(xx))
+        scale[scale == 0.0] = 1.0  # a zero column leaves S singular
+        s, W = np.linalg.eigh(xx / np.outer(scale, scale))
+        if not s[0] * _GRAM_RATIO_LIMIT > s[-1]:
+            # X'X is positive semidefinite, so a negative eigenvalue is rounding
+            raise SingularDesignError(max(float(evals[0]), 0.0), n)
+        B = W / (scale[:, None] * np.sqrt(s))
+        theta, lam_min = B @ (B.T @ design.xy), 1.0 / np.linalg.norm(B, 2) ** 2
     return Estimate(
         theta=theta,
-        sigma_min_zx=float(sv[-1] ** 2),
+        sigma_min_zx=float(lam_min),
         clipped_directions=0,
         method="ls",
-        condition_number=float(sv[0] / sv[-1]),
+        condition_number=float(np.sqrt(evals[-1] / lam_min)),
     )
 
 
-def excitation_check(design: DesignMatrices, lam: float) -> dict:
+def excitation_check(iv: Estimate, lam: float) -> dict:
     """Plug-in persistence-of-excitation diagnostic.
 
     The identifiability condition lower-bounds sigma_min of E[Z'X]; the
-    expectation is unobservable, so this reports the empirical sigma_min(Z'X),
-    from the same decomposition iv_estimate inverts, and whether it clears
-    the clipping floor lam.
+    expectation is unobservable, so this reports the empirical sigma_min(Z'X)
+    that the IV estimate iv found, and whether it clears the clipping floor
+    lam.
     """
-    sigma_min = float(np.linalg.svd(design.zx, full_matrices=False)[1][-1])
+    sigma_min = iv.sigma_min_zx
     return {
         "sigma_min": sigma_min,
         "satisfied": bool(sigma_min > lam),

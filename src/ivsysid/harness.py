@@ -22,7 +22,6 @@ import numpy as np
 
 from .bounds import ideal_window
 from .dynamics import (
-    LorenzParams,
     Trajectory,
     add_noise,
     feature_map,
@@ -151,8 +150,7 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         raise ValueError(
             f"n={config.n} samples do not fill one window of 2N={2 * config.N} samples"
         )
-    params = LorenzParams(forcing_freq=config.forcing_freq)
-    trajectory = integrate(params, config.x0, config.h, config.n, config.substeps)
+    trajectory = integrate(config.x0, config.h, config.n, config.substeps, config.forcing_freq)
     p_used = config.p
     try:
         bank = build_split_bank(config.mode, config.N, config.h, config.p)
@@ -199,7 +197,7 @@ def run_trial(
     design = assemble_design(measurements, shared.bank, feats, config.mu, config.stride)
     iv = iv_estimate(design, IvConfig(lam=config.lam, mu=config.mu))
     ls = ls_estimate(design)
-    excitation = excitation_check(design, config.lam)
+    excitation = excitation_check(iv, config.lam)
     return TrialResult(
         trial_index=trial_index,
         theta_iv=iv.theta,
@@ -216,8 +214,8 @@ def run_trial(
 
 def run_monte_carlo(
     config: ExperimentConfig,
+    shared: SharedArtifacts,
     workers: int = 1,
-    shared: SharedArtifacts | None = None,
 ) -> list[TrialResult]:
     """Run all configured trials; failures are recorded, never dropped.
 
@@ -229,9 +227,6 @@ def run_monte_carlo(
     Trials are independent given their seeds, so any worker count produces
     identical per-trial output.
     """
-    if shared is None:
-        shared = prepare_shared(config)
-
     def one(i: int) -> TrialResult:
         try:
             return run_trial(config, i, shared)
@@ -297,6 +292,8 @@ def summarize(
     )
 
 
+#: Bootstrap resamples B.
+_BOOTSTRAP_RESAMPLES = 1000
 #: (resample, trial) entries drawn per bootstrap block: max(1, this // T)
 #: resamples at a time, so a block's indices and weights take about 1 MB each
 #: whatever the trial count T.
@@ -306,18 +303,17 @@ _BOOTSTRAP_BLOCK_ENTRIES = 131_072
 def bootstrap_se(
     results: list[TrialResult],
     reference: np.ndarray,
-    B: int = 1000,
     seed: int = 0,
 ) -> dict[str, dict[str, float]]:
     """Nonparametric bootstrap standard errors for the three statistics.
 
-    The B resamples are drawn and reduced in blocks of rows; the draws are
-    those of one (B, T) call, since the generator's stream does not depend
-    on how it is split. Each resample's bias, std and rmse go into a (3, B)
-    array per estimator, and the standard errors are taken from those.
+    The B = _BOOTSTRAP_RESAMPLES resamples are drawn and reduced in blocks of
+    rows; the draws are those of one (B, T) call, since the generator's
+    stream does not depend on how it is split. Each resample's bias, std and
+    rmse go into a (3, B) array per estimator, and the standard errors are
+    taken from those.
     """
-    if B < 100:
-        raise ValueError(f"need B >= 100 resamples, got {B}")
+    B = _BOOTSTRAP_RESAMPLES
     iv, ls = _successful(results, _MIN_TRIALS)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB5]))
     T = len(iv)

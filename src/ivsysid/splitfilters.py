@@ -12,7 +12,7 @@ regressors row by row, which is what removes the errors-in-variables bias.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class SplitFilterBank:
     hat_H: FilterWeights
     hat_G: FilterWeights
     tilde_G: FilterWeights
-    mode: Literal["continuous", "discrete"]
     base_window: int
     base_step: float
     # conj(rfft) of (hat_H, hat_G, tilde_G), keyed by FFT length
@@ -102,7 +101,6 @@ def build_split_bank(mode: str, N: int, h: float, p: int) -> SplitFilterBank:
         hat_H=hat_H,
         hat_G=hat_G,
         tilde_G=tilde_G,
-        mode=mode,  # type: ignore[arg-type]
         base_window=N,
         base_step=h,
     )

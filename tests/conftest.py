@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from ivsysid.dynamics import LorenzParams, integrate
+from ivsysid.dynamics import integrate
 
 # fixed examples and no per-example deadline: reruns draw the same cases, and
 # a slow shared machine does not turn into a failure
@@ -14,4 +14,4 @@ settings.load_profile("ivsysid")
 @pytest.fixture(scope="session")
 def lorenz_trajectory():
     # the benchmark-sized noiseless path; integrated once per test session
-    return integrate(LorenzParams(), (-8.0, 8.0, 27.0), 1e-3, 100_000, substeps=10)
+    return integrate((-8.0, 8.0, 27.0), 1e-3, 100_000, substeps=10)

@@ -8,7 +8,7 @@ import pytest
 
 from ivsysid.bounds import GammaParams, corollary_rate, gamma, ideal_window
 from ivsysid.cli import main
-from ivsysid.dynamics import LorenzParams, integrate
+from ivsysid.dynamics import integrate
 from ivsysid.harness import ExperimentConfig, prepare_shared, run_trial
 
 
@@ -126,7 +126,7 @@ def test_estimate_rejects_nonuniform_grid(tmp_path, capsys):
 def test_estimate_honours_time_origin(tmp_path, capsys):
     # a noiseless record whose first sample sits at t = 0.251, not at h
     h, skip, n = 1e-3, 250, 20_000
-    traj = integrate(LorenzParams(), (-8.0, 8.0, 27.0), h, skip + n, substeps=10)
+    traj = integrate((-8.0, 8.0, 27.0), h, skip + n, substeps=10)
     path = tmp_path / "late.csv"
     np.savetxt(
         path, np.column_stack([traj.times, traj.states])[skip:],

@@ -12,7 +12,7 @@ from ivsysid.estimator import (
     iv_estimate,
     ls_estimate,
 )
-from ivsysid import splitfilters
+from ivsysid import estimator, splitfilters
 from ivsysid.splitfilters import DesignMatrices, assemble_design, build_split_bank
 
 
@@ -135,18 +135,22 @@ def test_ls_rank_deficient():
     X = np.column_stack([x, x + 1e-15 * rng.normal(size=200), rng.normal(size=200)])
     with pytest.raises(SingularDesignError):  # near-collinear
         ls_estimate(make_design(X, rng.normal(size=(200, 2))))
+    X[:, 1] = 0.0  # a zero column: its unit-diagonal scaling is undefined
+    with pytest.raises(SingularDesignError) as exc:
+        ls_estimate(make_design(X, rng.normal(size=(200, 2))))
+    assert exc.value.sigma_min == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ls_fewer_rows_than_features_reports_zero_sigma_min():
-    # lstsq returns only two singular values for a 2-row design, both nonzero;
-    # the four directions it leaves out have sigma = 0
+    # a 2-row design leaves four of six directions with sigma = 0; it is
+    # rejected before any solve
     X = np.random.default_rng(18).normal(size=(2, 6))
     with pytest.raises(SingularDesignError, match=r"sigma_min=0\.000e\+00, n_windows=2\)") as exc:
         ls_estimate(make_design(X, np.ones((2, 3))))
     assert exc.value.sigma_min == 0.0
 
 
-@pytest.mark.parametrize("cond", [10.0, 1e6])  # moment solve; SVD fallback
+@pytest.mark.parametrize("cond", [10.0, 1e6])  # moment solve; beyond its limit
 def test_ls_matches_lstsq(cond):
     rng = np.random.default_rng(15)
     Q1, _ = np.linalg.qr(rng.normal(size=(300, 4)))
@@ -154,9 +158,16 @@ def test_ls_matches_lstsq(cond):
     sv = np.geomspace(cond, 1.0, 4)
     X = (Q1 * sv) @ Q2
     Y = X @ rng.normal(size=(4, 3)) + 0.1 * rng.normal(size=(300, 3))
+    if cond**2 > estimator._GRAM_RATIO_LIMIT:
+        # scaling to unit diagonal cannot undo near-collinear columns: the
+        # ratio stays near cond^2 = 1e12, where the normal equations would
+        # lose about 1e-4, so the solve is refused; sigma_min is lambda_min(X'X)
+        with pytest.raises(SingularDesignError) as exc:
+            ls_estimate(make_design(X, Y))
+        assert exc.value.sigma_min == pytest.approx(1.0, rel=1e-3)
+        return
     est = ls_estimate(make_design(X, Y))
     theta, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    # the normal equations at cond(X) = 1e6 would lose about 1e-4
     np.testing.assert_allclose(est.theta, theta, rtol=1e-10, atol=0)
     assert est.sigma_min_zx == pytest.approx(1.0, rel=1e-6)
     assert est.condition_number == pytest.approx(cond, rel=1e-6)
@@ -171,7 +182,7 @@ def _blocked_design(features, monkeypatch, block=16):
 
 
 def test_ls_rank_deficient_multi_block(monkeypatch):
-    # a duplicated feature column; the SVD fallback reads the rebuilt rows
+    # a duplicated feature column is refused from the moments alone
     calls = []
 
     def features(t, s):
@@ -182,22 +193,59 @@ def test_ls_rank_deficient_multi_block(monkeypatch):
     assert calls == [16] * 6 + [13]
     with pytest.raises(SingularDesignError):
         ls_estimate(design)
-    assert calls[7:] == [109]
+    assert calls[7:] == []  # the rows are not read again
 
 
 def test_ls_multi_block_matches_lstsq(monkeypatch):
-    # cond(X) is about 1e6, so ls_estimate must solve on all rebuilt rows
+    # cond(X) is about 1e6 from near-collinear columns of like scale: too
+    # ill-conditioned for the normal equations, scaled or not. The refusal
+    # quotes lstsq's sigma_min(X)^2 = lambda_min(X'X).
     features = lambda t, s: np.concatenate(  # noqa: E731
         [s, s[..., :1] + 1e-6 * s[..., 1:] ** 2], axis=-1
     )
-    est = ls_estimate(_blocked_design(features, monkeypatch))
+    with pytest.raises(SingularDesignError) as exc:
+        ls_estimate(_blocked_design(features, monkeypatch))
     whole = _blocked_design(features, monkeypatch, block=10_000)
-    theta, _, _, sv = np.linalg.lstsq(whole.X, whole.Y, rcond=None)
+    _, _, _, sv = np.linalg.lstsq(whole.X, whole.Y, rcond=None)
     assert whole.X.shape == (109, 3)
-    np.testing.assert_allclose(est.theta, theta, rtol=1e-10, atol=0)
-    assert est.sigma_min_zx == pytest.approx(sv[-1] ** 2, rel=1e-6)
-    assert est.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-6)
-    assert est.condition_number > 1e5
+    assert sv[0] / sv[-1] > 1e5
+    assert exc.value.sigma_min == pytest.approx(sv[-1] ** 2, rel=1e-3)
+
+
+def _unit_scales(x: np.ndarray) -> np.ndarray:
+    # three features whose units differ by about 1e4 in scale
+    return np.concatenate([1e-2 * x[..., :1], 1e2 * x[..., 1:2], x[..., :1] * x[..., 1:2]], -1)
+
+
+def _assert_scaled_solve_matches_lstsq(design, X, Y):
+    evals = np.linalg.eigvalsh(design.xx)
+    assert evals[-1] > estimator._GRAM_RATIO_LIMIT * evals[0]  # past the plain solve
+    est = ls_estimate(design)
+    theta, _, _, sv = np.linalg.lstsq(X, Y, rcond=None)
+    np.testing.assert_allclose(est.theta, theta, rtol=1e-8, atol=0)
+    assert est.sigma_min_zx == pytest.approx(sv[-1] ** 2, rel=1e-8)
+    assert est.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-8)
+
+
+def test_ls_scaled_solve_matches_lstsq():
+    rng = np.random.default_rng(19)
+    X = _unit_scales(rng.normal(size=(300, 2)) + 3.0)
+    Y = X @ rng.normal(size=(3, 2)) + 0.1 * rng.normal(size=(300, 2))
+    _assert_scaled_solve_matches_lstsq(make_design(X, Y), X, Y)
+
+
+def test_ls_scaled_solve_multi_block_reads_no_rows(monkeypatch):
+    calls = []
+
+    def features(t, s):
+        calls.append(s.shape[1])
+        return _unit_scales(s)
+
+    design = _blocked_design(features, monkeypatch)
+    assert calls == [16] * 6 + [13]
+    whole = _blocked_design(lambda t, s: _unit_scales(s), monkeypatch, block=10_000)
+    _assert_scaled_solve_matches_lstsq(design, whole.X, whole.Y)
+    assert calls == [16] * 6 + [13]  # one call per block, no rebuild
 
 
 def test_excitation_check_reads_iv_sigma_min():
@@ -205,7 +253,7 @@ def test_excitation_check_reads_iv_sigma_min():
     X = rng.normal(size=(400, 5))
     design = make_design(X, rng.normal(size=(400, 3)), X + rng.normal(size=X.shape))
     iv = iv_estimate(design, IvConfig(lam=0.1, mu=1.0))
-    assert excitation_check(design, 0.1)["sigma_min"] == iv.sigma_min_zx
+    assert excitation_check(iv, 0.1)["sigma_min"] == iv.sigma_min_zx
 
 
 def test_errors_in_variables_attenuation():
@@ -225,12 +273,13 @@ def test_errors_in_variables_attenuation():
 
 
 def test_excitation_check():
+    cfg = IvConfig(lam=0.5, mu=1.0)
     d = make_design(np.eye(3), np.eye(3))
-    out = excitation_check(d, lam=0.5)
+    out = excitation_check(iv_estimate(d, cfg), lam=0.5)
     assert out["sigma_min"] == pytest.approx(1.0)
     assert out["satisfied"] and out["margin"] == pytest.approx(0.5)
     d0 = make_design(np.eye(3), np.eye(3), Z=np.zeros((3, 3)))
-    out0 = excitation_check(d0, lam=0.5)
+    out0 = excitation_check(iv_estimate(d0, cfg), lam=0.5)
     assert out0["sigma_min"] == 0.0
     assert not out0["satisfied"]
 

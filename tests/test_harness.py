@@ -113,7 +113,7 @@ def _gaussian_results(T: int, seed: int) -> list[TrialResult]:
 
 def test_bootstrap_zero_spread_gives_zero_se():
     ref = true_theta()
-    ses = bootstrap_se(_results_from(np.stack([ref + 0.1] * 12)), ref, B=200, seed=4)
+    ses = bootstrap_se(_results_from(np.stack([ref + 0.1] * 12)), ref, seed=4)
     # np.std of a constant array leaves ~1e-18 of reduction rounding
     for method in ("iv", "ls"):
         assert all(v < 1e-12 for v in ses[method].values())
@@ -122,17 +122,17 @@ def test_bootstrap_zero_spread_gives_zero_se():
 def test_bootstrap_is_seeded():
     ref = true_theta()
     results = _gaussian_results(30, seed=5)
-    a = bootstrap_se(results, ref, B=150, seed=9)
-    b = bootstrap_se(results, ref, B=150, seed=9)
+    a = bootstrap_se(results, ref, seed=9)
+    b = bootstrap_se(results, ref, seed=9)
     assert a == b
-    c = bootstrap_se(results, ref, B=150, seed=10)
+    c = bootstrap_se(results, ref, seed=10)
     assert a != c
 
 
 def test_bootstrap_se_shrinks_with_sample_size():
     ref = true_theta()
-    small = bootstrap_se(_gaussian_results(50, seed=21), ref, B=400, seed=2)
-    large = bootstrap_se(_gaussian_results(200, seed=22), ref, B=400, seed=2)
+    small = bootstrap_se(_gaussian_results(50, seed=21), ref, seed=2)
+    large = bootstrap_se(_gaussian_results(200, seed=22), ref, seed=2)
     # quadrupling the trials should roughly halve every standard error
     for method in ("iv", "ls"):
         for key in ("bias_se", "std_se", "rmse_se"):
@@ -142,8 +142,6 @@ def test_bootstrap_se_shrinks_with_sample_size():
 
 def test_bootstrap_validation():
     ref = true_theta()
-    with pytest.raises(ValueError):
-        bootstrap_se(_gaussian_results(10, seed=0), ref, B=50)
     with pytest.raises(InsufficientDataError):
         bootstrap_se([TrialResult(0, ref, ref, {})], ref)
 
@@ -180,12 +178,13 @@ def _block_rows(T: int) -> int:
 
 @pytest.mark.parametrize("T", [12, 240, 2000])
 @pytest.mark.parametrize("B", [100, 1000, "two blocks and a part"])
-def test_bootstrap_blocks_match_one_shot_weights(T, B):
+def test_bootstrap_blocks_match_one_shot_weights(T, B, monkeypatch):
     if B == "two blocks and a part":
         B = 2 * _block_rows(T) + 7
+    monkeypatch.setattr(harness, "_BOOTSTRAP_RESAMPLES", B)
     ref = true_theta()
     results = _gaussian_results(T, seed=T)
-    got = bootstrap_se(results, ref, B=B, seed=3)
+    got = bootstrap_se(results, ref, seed=3)
     want = _one_shot_bootstrap_se(results, ref, B, seed=3)
     for method in ("iv", "ls"):
         for key, value in want[method].items():
@@ -213,7 +212,7 @@ def test_bootstrap_memory_is_bounded_by_block():
     results = _gaussian_results(2000, seed=23)
     tracemalloc.start()
     try:
-        bootstrap_se(results, ref, B=1000, seed=0)
+        bootstrap_se(results, ref, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
