@@ -12,17 +12,20 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import GammaParams, corollary_rate, gamma, ideal_window, mc_check_gamma
+# Nothing here reads feature_map, assemble_design or the estimators; they stay
+# bound because bench/spans.py wraps them on this module (ROADMAP item 1).
 from .dynamics import add_noise, feature_map, integrate
-from .estimator import IvConfig, excitation_check, iv_estimate, ls_estimate
+from .estimator import excitation_check, iv_estimate, ls_estimate
 from .harness import (
     ExperimentConfig,
     apply_overrides,
+    estimate_series,
     load_config,
     run_experiment,
     trial_seed,
@@ -156,19 +159,9 @@ def _cmd_estimate(args) -> dict:
     # the file is authoritative for sample count and step
     cfg = replace(cfg, n=len(times), h=float(times[1] - times[0]))
     bank = build_split_bank(cfg.mode, cfg.N, cfg.h, cfg.p)
-    feats = lambda t, s: feature_map(t, s, cfg.forcing_freq)  # noqa: E731
-    design = assemble_design(values, bank, feats, cfg.mu, cfg.stride, t0=float(times[0]))
-    iv = iv_estimate(design, IvConfig(lam=cfg.lam, mu=cfg.mu))
-    ls = ls_estimate(design)
-    result = {"n_windows": design.n_windows, "excitation": excitation_check(iv, cfg.lam)}
-    for name, est in (("iv", iv), ("ls", ls)):
-        result[name] = {
-            "theta": est.theta.tolist(),
-            "sigma_min_zx": est.sigma_min_zx,
-            "clipped_directions": est.clipped_directions,
-            "condition_number": est.condition_number,
-            "method": est.method,
-        }
+    result = asdict(estimate_series(values, cfg, bank, t0=float(times[0])))
+    for name in ("iv", "ls"):
+        result[name]["theta"] = result[name]["theta"].tolist()
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -181,6 +174,8 @@ def _cmd_estimate(args) -> dict:
 
 
 def _cmd_benchmark(args) -> dict:
+    if args.workers < 1:
+        raise CliError(f"--workers must be >= 1, got {args.workers}")
     cfg = _resolve_config(args)
     return run_experiment(cfg, args.out, workers=args.workers)
 

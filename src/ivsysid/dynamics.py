@@ -1,4 +1,4 @@
-"""Forced-Lorenz benchmark system: simulation, features, noise, references.
+"""Forced-Lorenz benchmark system: simulation, features, noise, true parameters.
 
 The benchmark dynamics are the 3-state Lorenz equations with a sinusoidal
 drive added to the third component. They are linear in the parameters for the
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Nothing here reads these; they stay bound because bench/spans.py wraps them
+# on this module (ROADMAP item 1).
 from .estimator import ls_estimate
 from .splitfilters import assemble_design, build_split_bank
 
@@ -155,23 +157,3 @@ def add_noise(traj: Trajectory, eta: float, seed: int) -> np.ndarray:
     values *= math.sqrt(eta)
     values += traj.states
     return values
-
-
-def pseudo_true_discrete(config, trajectory: Trajectory) -> np.ndarray:
-    """Zero-noise least-squares reference for the discrete-time model.
-
-    The discrete pipeline estimates the one-step transition map, for which no
-    closed-form parameter matrix exists; the convention is to measure
-    estimation error against the value the least-squares estimator converges
-    to on noiseless data. That value is a pure function of the pipeline
-    geometry. `config` must provide mode, h, N, p, stride and forcing_freq,
-    with p already feasible for the split window; `trajectory` is the
-    noiseless path that config describes.
-    """
-    if config.mode != "discrete":
-        raise ValueError("pseudo-true reference applies to discrete mode only")
-    bank = build_split_bank("discrete", config.N, config.h, config.p)
-    feats = lambda t, state: feature_map(t, state, config.forcing_freq)  # noqa: E731
-    # mu only shapes the instruments, which least squares never reads
-    design = assemble_design(trajectory.states, bank, feats, mu=1e9, stride=config.stride)
-    return ls_estimate(design).theta

@@ -21,15 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import ideal_window
-from .dynamics import (
-    Trajectory,
-    add_noise,
-    feature_map,
-    integrate,
-    pseudo_true_discrete,
-    true_theta,
-)
-from .estimator import IvConfig, excitation_check, iv_estimate, ls_estimate
+from .dynamics import Trajectory, add_noise, feature_map, integrate, true_theta
+from .estimator import Estimate, IvConfig, excitation_check, iv_estimate, ls_estimate
 from .polyfilter import FilterConditioningError, FilterRankError
 from .splitfilters import SplitFilterBank, assemble_design, build_split_bank
 
@@ -100,12 +93,20 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+@dataclass(frozen=True)
+class SeriesEstimate:
+    """Both estimators on one measurement series, with the excitation check."""
+
+    iv: Estimate
+    ls: Estimate
+    excitation: dict
+    n_windows: int
+
+
 @dataclass
 class TrialResult:
     trial_index: int
-    theta_iv: np.ndarray | None
-    theta_ls: np.ndarray | None
-    diagnostics: dict
+    estimate: SeriesEstimate | None
     error: str | None = None
 
 
@@ -169,7 +170,7 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         reference = true_theta()
         kind = "ground_truth"
     else:
-        reference = pseudo_true_discrete(replace(config, p=p_used), trajectory)
+        reference = pseudo_true_discrete(config, trajectory, bank)
         kind = "pseudo_true"
     return SharedArtifacts(
         trajectory=trajectory,
@@ -187,29 +188,49 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def estimate_series(
+    values: np.ndarray,
+    config: ExperimentConfig,
+    bank: SplitFilterBank,
+    t0: float | None = None,
+) -> SeriesEstimate:
+    """Filter one (n, 3) series with bank and solve IV and LS on its moments.
+
+    Sample i sits at time t0 + i * h, with t0 = h when None (the simulator's grid).
+    """
+    feats = lambda t, s: feature_map(t, s, config.forcing_freq)  # noqa: E731
+    design = assemble_design(values, bank, feats, config.mu, config.stride, t0=t0)
+    iv = iv_estimate(design, IvConfig(lam=config.lam, mu=config.mu))
+    return SeriesEstimate(
+        iv=iv,
+        ls=ls_estimate(design),
+        excitation=excitation_check(iv, config.lam),
+        n_windows=design.n_windows,
+    )
+
+
+def pseudo_true_discrete(
+    config: ExperimentConfig, trajectory: Trajectory, bank: SplitFilterBank
+) -> np.ndarray:
+    """Zero-noise least-squares reference for the discrete-time model.
+
+    The discrete pipeline estimates the one-step transition map, for which no
+    closed-form parameter matrix exists; the convention is to measure
+    estimation error against the value the least-squares estimator converges
+    to on the noiseless `trajectory`, filtered with the experiment's `bank`.
+    """
+    if config.mode != "discrete":
+        raise ValueError("pseudo-true reference applies to discrete mode only")
+    return estimate_series(trajectory.states, config, bank).ls.theta
+
+
 def run_trial(
     config: ExperimentConfig, trial_index: int, shared: SharedArtifacts
 ) -> TrialResult:
     """One seeded noise draw through the full pipeline, both estimators."""
     seed = trial_seed(config.master_seed, trial_index)
     measurements = add_noise(shared.trajectory, config.eta, seed)
-    feats = lambda t, s: feature_map(t, s, config.forcing_freq)  # noqa: E731
-    design = assemble_design(measurements, shared.bank, feats, config.mu, config.stride)
-    iv = iv_estimate(design, IvConfig(lam=config.lam, mu=config.mu))
-    ls = ls_estimate(design)
-    excitation = excitation_check(iv, config.lam)
-    return TrialResult(
-        trial_index=trial_index,
-        theta_iv=iv.theta,
-        theta_ls=ls.theta,
-        diagnostics={
-            "seed": seed,
-            "sigma_min_zx": iv.sigma_min_zx,
-            "clipped_directions": iv.clipped_directions,
-            "excitation_satisfied": excitation["satisfied"],
-            "n_windows": design.n_windows,
-        },
-    )
+    return TrialResult(trial_index, estimate_series(measurements, config, shared.bank))
 
 
 def run_monte_carlo(
@@ -231,13 +252,7 @@ def run_monte_carlo(
         try:
             return run_trial(config, i, shared)
         except (ValueError, ArithmeticError) as exc:  # numerical and domain errors are data
-            return TrialResult(
-                trial_index=i,
-                theta_iv=None,
-                theta_ls=None,
-                diagnostics={},
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return TrialResult(i, None, error=f"{type(exc).__name__}: {exc}")
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -267,13 +282,13 @@ _KDE_GRID_POINTS = 256
 
 def _successful(results: list[TrialResult], need: int) -> tuple[np.ndarray, np.ndarray]:
     """The IV and LS estimates of the successful trials, stacked to (T, 6, 3)."""
-    ok = [r for r in results if r.error is None]
+    ok = [r.estimate for r in results if r.error is None]
     if len(ok) < need:
         first = next((f"; first failure: {r.error}" for r in results if r.error is not None), "")
         raise InsufficientDataError(
             f"need at least {need} successful trials, got {len(ok)}{first}"
         )
-    return np.stack([r.theta_iv for r in ok]), np.stack([r.theta_ls for r in ok])
+    return np.stack([e.iv.theta for e in ok]), np.stack([e.ls.theta for e in ok])
 
 
 def summarize(
@@ -406,11 +421,11 @@ def write_trials_csv(path: Path, results: list[TrialResult]) -> None:
     header += [f"theta_{r}_{c}" for r in range(6) for c in range(3)]
     header += ["sigma_min_zx", "clipped_directions"]
     rows = (
-        [res.trial_index, name, *theta.ravel().tolist()]
-        + [res.diagnostics["sigma_min_zx"], res.diagnostics["clipped_directions"]]
+        [res.trial_index, name, *est.theta.ravel().tolist()]
+        + [res.estimate.iv.sigma_min_zx, res.estimate.iv.clipped_directions]
         for res in results
         if res.error is None
-        for name, theta in (("iv", res.theta_iv), ("ls", res.theta_ls))
+        for name, est in (("iv", res.estimate.iv), ("ls", res.estimate.ls))
     )
     write_csv(path, header, rows)
 
@@ -440,14 +455,12 @@ def summary_dict(
     results: list[TrialResult],
     stats: SummaryStats,
 ) -> dict:
-    ok = [r for r in results if r.error is None]
+    ok = [r.estimate for r in results if r.error is None]
     ideal = ideal_window(config.h, shared.p_used)
     excitation = {
-        "min_sigma_min_zx": min((r.diagnostics["sigma_min_zx"] for r in ok), default=None),
-        "all_satisfied": all(r.diagnostics["excitation_satisfied"] for r in ok),
-        "trials_with_clipping": sum(
-            1 for r in ok if r.diagnostics["clipped_directions"] > 0
-        ),
+        "min_sigma_min_zx": min((e.iv.sigma_min_zx for e in ok), default=None),
+        "all_satisfied": all(e.excitation["satisfied"] for e in ok),
+        "trials_with_clipping": sum(1 for e in ok if e.iv.clipped_directions > 0),
     }
     config_dict = asdict(config)
     config_dict["x0"] = list(config.x0)  # JSON round-trips tuples as lists
@@ -457,7 +470,7 @@ def summary_dict(
         "p_used": shared.p_used,
         "reference": shared.reference_kind,
         "reference_norm": float(np.linalg.norm(shared.reference)),
-        "n_windows": ok[0].diagnostics["n_windows"] if ok else 0,
+        "n_windows": ok[0].n_windows if ok else 0,
         "ideal_window": ideal,
         "window_vs_ideal": config.N / ideal,
         "stats": {

@@ -104,10 +104,11 @@ def test_estimate_matches_library_pipeline(tmp_path, capsys):
 
     expected = run_trial(cfg, 0, prepare_shared(cfg))
     # the CSV round-trips floats exactly, so the numbers must match bitwise
-    assert np.array_equal(np.array(result["iv"]["theta"]), expected.theta_iv)
-    assert np.array_equal(np.array(result["ls"]["theta"]), expected.theta_ls)
-    assert result["n_windows"] == expected.diagnostics["n_windows"]
-    assert result["excitation"]["satisfied"] == expected.diagnostics["excitation_satisfied"]
+    est = expected.estimate
+    assert np.array_equal(np.array(result["iv"]["theta"]), est.iv.theta)
+    assert np.array_equal(np.array(result["ls"]["theta"]), est.ls.theta)
+    assert result["n_windows"] == est.n_windows
+    assert result["excitation"] == est.excitation
 
     on_disk = json.loads((tmp_path / "est" / "estimate.json").read_text())
     assert on_disk["iv"]["theta"] == result["iv"]["theta"]
@@ -252,6 +253,22 @@ def test_benchmark_failure_leaves_no_output_dir(tmp_path, capsys):
     )
     assert rc == 1
     assert parse_json(err)["error"]["type"] == "FilterRankError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_benchmark_rejects_workers_below_one(tmp_path, capsys, monkeypatch, workers):
+    import ivsysid.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran the benchmark"))
+    out = tmp_path / "d"
+    rc, _, err = run_cli(
+        capsys, "benchmark", "--mode", "continuous", "--workers", workers, "--out", str(out)
+    )
+    assert rc == 1
+    assert parse_json(err)["error"] == {
+        "type": "CliError", "message": f"--workers must be >= 1, got {workers}"
+    }
     assert not out.exists()
 
 

@@ -11,9 +11,10 @@ from ivsysid.dynamics import (
     add_noise,
     feature_map,
     integrate,
-    pseudo_true_discrete,
     true_theta,
 )
+from ivsysid.harness import ExperimentConfig, pseudo_true_discrete
+from ivsysid.splitfilters import build_split_bank
 
 
 def lorenz_rhs(t: float, state: np.ndarray, forcing_freq: float = 1.0) -> np.ndarray:
@@ -164,8 +165,6 @@ def test_add_noise_variance_and_determinism(lorenz_trajectory):
 def test_pseudo_true_first_order_trend():
     # over h -> 0 the learned one-step map approaches identity + h * theta;
     # the deviation, measured relative to h, must shrink
-    from ivsysid.harness import ExperimentConfig
-
     theta0 = true_theta()
     lift = np.zeros((6, 3))
     lift[1, 0] = lift[2, 1] = lift[3, 2] = 1.0
@@ -176,7 +175,8 @@ def test_pseudo_true_first_order_trend():
             mode="discrete", n=round(4.0 / h), h=h, N=8, p=4, trials=1, substeps=4
         )
         trajectory = integrate(config.x0, h, config.n, config.substeps)
-        pt = pseudo_true_discrete(config, trajectory)
+        bank = build_split_bank("discrete", config.N, h, config.p)
+        pt = pseudo_true_discrete(config, trajectory, bank)
         expected = lift + h * theta0
         errs.append(np.linalg.norm(pt - expected, "fro") / h)
     assert errs[1] < 0.2 * errs[0]
@@ -184,12 +184,11 @@ def test_pseudo_true_first_order_trend():
 
 
 def test_pseudo_true_rejects_continuous_mode():
-    from ivsysid.harness import ExperimentConfig
-
     config = ExperimentConfig(mode="continuous", n=300, h=5e-3, N=10, p=4, trials=1)
     trajectory = integrate(config.x0, config.h, config.n, config.substeps)
+    bank = build_split_bank("continuous", config.N, config.h, config.p)
     with pytest.raises(ValueError, match="discrete mode only"):
-        pseudo_true_discrete(config, trajectory)
+        pseudo_true_discrete(config, trajectory, bank)
 
 
 def test_discrete_setup_integrates_once(monkeypatch):
@@ -200,7 +199,8 @@ def test_discrete_setup_integrates_once(monkeypatch):
 
     config = harness.ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
     trajectory = integrate(config.x0, config.h, config.n, config.substeps)
-    expected = pseudo_true_discrete(config, trajectory)
+    bank = build_split_bank("discrete", config.N, config.h, config.p)
+    expected = pseudo_true_discrete(config, trajectory, bank)
     calls = []
     monkeypatch.setattr(
         harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)

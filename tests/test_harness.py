@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 from ivsysid import harness
 from ivsysid.bounds import ideal_window
 from ivsysid.dynamics import true_theta
-from ivsysid.estimator import SingularDesignError
+from ivsysid.estimator import Estimate, SingularDesignError
 from ivsysid.harness import (
     ExperimentConfig,
     InsufficientDataError,
+    SeriesEstimate,
     TrialResult,
     apply_overrides,
     bootstrap_se,
     config_from_dict,
+    estimate_series,
     kde_export,
     load_config,
     prepare_shared,
@@ -46,8 +48,30 @@ def small_shared():
     return prepare_shared(SMALL)
 
 
+def _trial(i: int, theta_iv: np.ndarray, theta_ls: np.ndarray) -> TrialResult:
+    # a successful trial with the given estimates; the statistics read only theta
+    def estimate(theta, method):
+        return Estimate(
+            theta, sigma_min_zx=1.0, clipped_directions=0, method=method, condition_number=1.0
+        )
+
+    series = SeriesEstimate(estimate(theta_iv, "iv"), estimate(theta_ls, "ls"), {}, 0)
+    return TrialResult(i, series)
+
+
 def _results_from(thetas: np.ndarray) -> list[TrialResult]:
-    return [TrialResult(i, th.copy(), th.copy(), {}) for i, th in enumerate(thetas)]
+    return [_trial(i, th.copy(), th.copy()) for i, th in enumerate(thetas)]
+
+
+def _assert_same_estimate(a: SeriesEstimate, b: SeriesEstimate) -> None:
+    # == on an Estimate compares its theta arrays and raises; compare the bytes
+    for x, y in ((a.iv, b.iv), (a.ls, b.ls)):
+        assert x.theta.tobytes() == y.theta.tobytes()
+        assert (x.sigma_min_zx, x.clipped_directions, x.method, x.condition_number) == (
+            y.sigma_min_zx, y.clipped_directions, y.method, y.condition_number
+        )
+    assert a.excitation == b.excitation
+    assert a.n_windows == b.n_windows
 
 
 def test_summarize_exact_trials_give_zero_stats():
@@ -92,7 +116,7 @@ def test_summarize_decomposition_identity():
 def test_summarize_needs_two_successes():
     ref = true_theta()
     results = _results_from(np.stack([ref]))
-    results.append(TrialResult(1, None, None, {}, error="ValueError: boom"))
+    results.append(TrialResult(1, None, error="ValueError: boom"))
     with pytest.raises(InsufficientDataError):
         summarize(results, ref)
 
@@ -101,12 +125,7 @@ def _gaussian_results(T: int, seed: int) -> list[TrialResult]:
     rng = np.random.default_rng(seed)
     ref = true_theta()
     return [
-        TrialResult(
-            i,
-            ref + rng.normal(0, 0.05, size=(6, 3)),
-            ref + rng.normal(0, 0.05, size=(6, 3)),
-            {},
-        )
+        _trial(i, ref + rng.normal(0, 0.05, size=(6, 3)), ref + rng.normal(0, 0.05, size=(6, 3)))
         for i in range(T)
     ]
 
@@ -143,7 +162,7 @@ def test_bootstrap_se_shrinks_with_sample_size():
 def test_bootstrap_validation():
     ref = true_theta()
     with pytest.raises(InsufficientDataError):
-        bootstrap_se([TrialResult(0, ref, ref, {})], ref)
+        bootstrap_se([_trial(0, ref, ref)], ref)
 
 
 def _one_shot_bootstrap_se(results, reference, B, seed):
@@ -156,7 +175,7 @@ def _one_shot_bootstrap_se(results, reference, B, seed):
     refnorm = np.linalg.norm(reference)
     out = {}
     for name in ("iv", "ls"):
-        thetas = np.stack([getattr(r, f"theta_{name}") for r in results])
+        thetas = np.stack([getattr(r.estimate, name).theta for r in results])
         center = thetas.mean(axis=0)
         dev = (thetas - center).reshape(T, -1)
         dev_means = weights @ dev
@@ -250,7 +269,7 @@ def test_kde_density_matches_one_expression():
     ref = true_theta()
     results = _gaussian_results(40, seed=17)
     curves = kde_export(results, ref)
-    samples = np.array([r.theta_ls[2, 1] for r in results])
+    samples = np.array([r.estimate.ls.theta[2, 1] for r in results])
     mean, sd = float(samples.mean()), float(samples.std())
     bw = 1.06 * sd * 40 ** (-0.2)
     grid = np.linspace(mean - 4 * sd, mean + 4 * sd, 256)
@@ -271,7 +290,7 @@ def test_kde_needs_ten_trials():
 @pytest.mark.parametrize("statistic", [summarize, bootstrap_se, kde_export])
 def test_all_failed_trials_name_the_first_failure(statistic):
     results = [
-        TrialResult(i, None, None, {}, error=f"SingularDesignError: trial {i}") for i in range(12)
+        TrialResult(i, None, error=f"SingularDesignError: trial {i}") for i in range(12)
     ]
     with pytest.raises(
         InsufficientDataError, match=r"got 0; first failure: SingularDesignError: trial 0$"
@@ -319,12 +338,13 @@ def test_noiseless_trials_recover_reference(small_shared):
     cfg = replace(SMALL, eta=0.0, trials=2)
     results = run_monte_carlo(cfg, shared=small_shared)
     assert all(r.error is None for r in results)
-    assert np.array_equal(results[0].theta_iv, results[1].theta_iv)
-    rel = np.linalg.norm(results[0].theta_iv - small_shared.reference) / np.linalg.norm(
+    first, second = results[0].estimate, results[1].estimate
+    assert np.array_equal(first.iv.theta, second.iv.theta)
+    rel = np.linalg.norm(first.iv.theta - small_shared.reference) / np.linalg.norm(
         small_shared.reference
     )
     assert rel < 1e-3
-    rel_ls = np.linalg.norm(results[0].theta_ls - small_shared.reference) / np.linalg.norm(
+    rel_ls = np.linalg.norm(first.ls.theta - small_shared.reference) / np.linalg.norm(
         small_shared.reference
     )
     assert rel_ls < 1e-3
@@ -334,9 +354,8 @@ def test_monte_carlo_is_reproducible(small_shared):
     a = run_monte_carlo(SMALL, shared=small_shared)
     b = run_monte_carlo(SMALL, shared=small_shared)
     for ra, rb in zip(a, b):
-        assert np.array_equal(ra.theta_iv, rb.theta_iv)
-        assert np.array_equal(ra.theta_ls, rb.theta_ls)
-        assert ra.diagnostics["seed"] == rb.diagnostics["seed"]
+        assert np.array_equal(ra.estimate.iv.theta, rb.estimate.iv.theta)
+        assert np.array_equal(ra.estimate.ls.theta, rb.estimate.ls.theta)
 
 
 def test_workers_do_not_change_results(small_shared):
@@ -344,8 +363,8 @@ def test_workers_do_not_change_results(small_shared):
     threaded = run_monte_carlo(SMALL, workers=2, shared=small_shared)
     assert [r.trial_index for r in threaded] == [0, 1, 2, 3]
     for rs, rt in zip(serial, threaded):
-        assert np.array_equal(rs.theta_iv, rt.theta_iv)
-        assert np.array_equal(rs.theta_ls, rt.theta_ls)
+        assert np.array_equal(rs.estimate.iv.theta, rt.estimate.iv.theta)
+        assert np.array_equal(rs.estimate.ls.theta, rt.estimate.ls.theta)
 
 
 @settings(max_examples=20)
@@ -360,19 +379,15 @@ def test_worker_count_does_not_change_any_trial(small_shared, master_seed, trial
     threaded = run_monte_carlo(cfg, workers=3, shared=small_shared)
     assert [r.trial_index for r in threaded] == list(range(trials))
     for rs, rt in zip(serial, threaded):
-        assert rs.theta_iv.tobytes() == rt.theta_iv.tobytes()
-        assert rs.theta_ls.tobytes() == rt.theta_ls.tobytes()
-        assert rs.diagnostics == rt.diagnostics
+        _assert_same_estimate(rs.estimate, rt.estimate)
         assert rs.error is rt.error is None
 
 
 def test_trial_diagnostics(small_shared):
-    res = run_trial(SMALL, 0, small_shared)
-    diag = res.diagnostics
-    assert diag["n_windows"] == SMALL.n - 2 * SMALL.N + 1
-    assert diag["sigma_min_zx"] > 0
-    assert isinstance(diag["excitation_satisfied"], bool)
-    assert diag["seed"] == trial_seed(SMALL.master_seed, 0)
+    est = run_trial(SMALL, 0, small_shared).estimate
+    assert est.n_windows == SMALL.n - 2 * SMALL.N + 1
+    assert est.iv.sigma_min_zx > 0
+    assert isinstance(est.excitation["satisfied"], bool)
 
 
 def test_unbuildable_degree_falls_back_with_warning():
@@ -403,7 +418,7 @@ def test_failed_trials_are_recorded(small_shared, monkeypatch):
     results = run_monte_carlo(SMALL, shared=small_shared)
     assert len(results) == SMALL.trials
     assert results[1].error == "ValueError: injected failure"
-    assert results[1].theta_iv is None
+    assert results[1].estimate is None
     stats = summarize(results, small_shared.reference, small_shared.reference_kind)
     assert stats.n_trials == SMALL.trials - 1
     assert stats.n_failed == 1
@@ -431,7 +446,7 @@ def test_trial_programming_errors_propagate(small_shared, monkeypatch):
 
 def test_write_trials_csv_skips_failures(tmp_path, small_shared):
     ok = run_trial(SMALL, 0, small_shared)
-    bad = TrialResult(1, None, None, {}, error="ValueError: boom")
+    bad = TrialResult(1, None, error="ValueError: boom")
     path = tmp_path / "trials.csv"
     write_trials_csv(path, [ok, bad])
     lines = path.read_text().splitlines()
@@ -488,6 +503,23 @@ def test_discrete_experiment_uses_pseudo_true():
     stats = summarize(results, shared.reference, shared.reference_kind)
     assert stats.reference == "pseudo_true"
     assert np.isfinite(stats.iv.rmse_pct)
+
+
+def test_discrete_setup_builds_one_bank(monkeypatch):
+    # the reference reuses the experiment's bank: three stencils, not six, and
+    # it is the LS estimate of the one estimate stage on the noiseless path
+    from ivsysid import splitfilters
+
+    cfg = ExperimentConfig(mode="discrete", n=1200, N=8, p=4, trials=1, substeps=2)
+    calls = []
+    real = splitfilters.build_filter
+    monkeypatch.setattr(
+        splitfilters, "build_filter", lambda spec: calls.append(spec) or real(spec)
+    )
+    shared = prepare_shared(cfg)
+    assert len(calls) == 3
+    expected = estimate_series(shared.trajectory.states, cfg, shared.bank).ls.theta
+    assert shared.reference.tobytes() == expected.tobytes()
 
 
 def test_eta_defaults_by_mode():
