@@ -45,18 +45,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+#: The config fields `estimate` reads: the file gives n and h, and it draws no
+#: noise and runs no trials.
+_ESTIMATE_FIELDS = ("mode", "N", "p", "lam", "mu", "stride", "forcing_freq")
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, run_flags: bool = True) -> None:
     sub.add_argument("--config", help="JSON manifest with experiment fields")
     sub.add_argument("--mode", choices=["continuous", "discrete"], help="model class")
-    sub.add_argument("--trials", type=int, help="override trial count")
-    sub.add_argument("--seed", type=int, help="override master seed")
+    if run_flags:
+        sub.add_argument("--trials", type=int, help="override trial count")
+        sub.add_argument("--seed", type=int, help="override master seed")
     sub.add_argument(
         "--set",
         action="append",
         default=[],
         metavar="KEY=VALUE",
         dest="overrides",
-        help="override any config field (repeatable)",
+        help="override a config field (repeatable)",
     )
 
 
@@ -69,9 +75,9 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig(mode=args.mode)
     else:
         raise CliError("either --config or --mode is required")
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, trials=args.trials)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
     return apply_overrides(cfg, args.overrides)
 
@@ -82,7 +88,8 @@ def _cmd_simulate(args) -> dict:
     header = ["t", "x1", "x2", "x3"]
     columns = [traj.times, *traj.states.T]
     if cfg.eta > 0:
-        noisy = add_noise(traj, cfg.eta, trial_seed(cfg.master_seed, 0))
+        rng = np.random.default_rng(trial_seed(cfg.master_seed, 0))
+        noisy = add_noise(traj.states, cfg.eta, rng)
         header += ["z1", "z2", "z3"]
         columns += [*noisy.T]
     out = Path(args.out)
@@ -154,6 +161,13 @@ def _read_measurements(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_estimate(args) -> dict:
+    for item in args.overrides:
+        key = item.partition("=")[0]
+        if key in ExperimentConfig.__dataclass_fields__ and key not in _ESTIMATE_FIELDS:
+            raise CliError(
+                f"estimate does not read --set {key}; it takes only "
+                f"{', '.join(_ESTIMATE_FIELDS)}"
+            )
     cfg = _resolve_config(args)
     times, values = _read_measurements(args.input)
     # the file is authoritative for sample count and step
@@ -227,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     filt.set_defaults(func=_cmd_filters)
 
     est = subs.add_parser("estimate", help="estimate parameters from one measurement CSV")
-    _add_config_flags(est)
+    _add_config_flags(est, run_flags=False)
     est.add_argument("--input", required=True, help="CSV with t and z1..z3 (or x1..x3) columns")
     est.add_argument("--out", help="optional output directory for estimate.json")
     est.set_defaults(func=_cmd_estimate)

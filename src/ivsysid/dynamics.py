@@ -147,13 +147,16 @@ def integrate(
     return Trajectory(times=times, states=states)
 
 
-def add_noise(traj: Trajectory, eta: float, seed: int) -> np.ndarray:
-    """Noise-corrupted states z_i = x(t_i) + N(0, eta * I), (n, 3), reproducibly."""
+def add_noise(states: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndarray:
+    """Noise-corrupted states z_i = x(t_i) + N(0, eta * I), one draw per entry of `states`.
+
+    The generator's stream does not depend on how it is split, so calls on
+    consecutive blocks of rows give the bits of one call on all of them.
+    """
     if eta < 0:
         raise ValueError(f"noise variance must be >= 0, got {eta}")
-    rng = np.random.default_rng(seed)
-    # the same draws and bits as traj.states + rng.normal(0, sqrt(eta), shape)
-    values = rng.standard_normal(traj.states.shape)
+    # the same draws and bits as states + rng.normal(0, sqrt(eta), shape)
+    values = rng.standard_normal(states.shape)
     values *= math.sqrt(eta)
-    values += traj.states
+    values += states
     return values

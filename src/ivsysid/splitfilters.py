@@ -39,26 +39,29 @@ class SplitFilterBank:
     tilde_G: FilterWeights
     base_window: int
     base_step: float
-    # conj(rfft) of (hat_H, hat_G, tilde_G), keyed by FFT length
+    # (nfft, conj(rfft) of (hat_H, hat_G, tilde_G)), keyed by parity-class length
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def stencil_spectra(self, nfft: int) -> np.ndarray:
-        """Conjugate spectra of the three stencils at FFT length nfft, (3, nfft//2 + 1).
+    def stencil_spectra(self, half: int) -> tuple[int, np.ndarray]:
+        """FFT length and conjugate stencil spectra for parity classes of `half` samples.
 
-        Multiplying a signal's rfft by these and transforming back correlates
-        the signal with each stencil. Computed once per length and kept on the
-        bank; concurrent callers at worst compute the same value twice.
+        nfft is the smallest fast length >= half and the spectra are
+        (3, nfft//2 + 1). Multiplying a signal's rfft by these and
+        transforming back correlates the signal with each stencil. Computed
+        once per class length and kept on the bank; concurrent callers at
+        worst compute the same value twice.
         """
-        spectra = self._spectra.get(nfft)
-        if spectra is None:
+        entry = self._spectra.get(half)
+        if entry is None:
+            nfft = _next_fast_len(half)
             stencils = np.stack([
                 self.hat_H.coefficients[self.hat_H.spec.derivative_order],
                 self.hat_G.coefficients[0],
                 self.tilde_G.coefficients[0],
             ])
-            spectra = np.conj(np.fft.rfft(stencils, nfft, axis=1))
-            self._spectra[nfft] = spectra
-        return spectra
+            entry = nfft, np.conj(np.fft.rfft(stencils, nfft, axis=1))
+            self._spectra[half] = entry
+        return entry
 
 
 def build_split_bank(mode: str, N: int, h: float, p: int) -> SplitFilterBank:
@@ -219,12 +222,12 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     windows = n - 2 * N + 1
     n_even, n_odd = (windows + 1) // 2, windows // 2
     half = (n + 1) // 2
-    nfft = _next_fast_len(half)
+    nfft, spectra = bank.stencil_spectra(half)
     classes = np.zeros((2, measurements.shape[1], half))
     classes[0] = measurements[0::2].T
     classes[1, :, : n // 2] = measurements[1::2].T
     # circular correlation; entries a <= len(class) - N never wrap
-    spectra = bank.stencil_spectra(nfft)[:, None, None, :]
+    spectra = spectra[:, None, None, :]
     even, odd = np.fft.irfft(np.fft.rfft(classes, nfft) * spectra, nfft).transpose(1, 0, 2, 3)
     out = np.empty((3, measurements.shape[1], windows))
     out[:2, :, 0::2] = odd[:2, :, :n_even]
@@ -244,7 +247,9 @@ def assemble_design(
 ) -> DesignMatrices:
     """Slide the split windows over a measurement series and sum the moments.
 
-    Sample i (0-based row of `measurements`) sits at time t0 + i * h, with
+    `measurements` is an (n, d) or (n,) array, or any object with len() whose
+    row slices convert to one; each slice is converted as it is read. Sample i
+    (0-based row) sits at time t0 + i * h, with
     t0 = h when not given (the simulator's grid). Windows span 2N raw samples
     (N per parity class) and start at offsets 0, stride, 2*stride, ... as
     long as they fit; trailing samples that do not fill a window are dropped.
@@ -263,15 +268,12 @@ def assemble_design(
     once per block, on the hat and the tilde states together.
 
     The design's X, Y, Z and times, when read, are rebuilt from
-    `measurements`, which must not change while the design is in use.
+    `measurements`, which must give the same rows while the design is in use.
 
     Raises:
         EmptyDesignError: fewer samples than one window.
     """
-    measurements = np.asarray(measurements, dtype=float)
-    if measurements.ndim == 1:
-        measurements = measurements[:, None]
-    n = measurements.shape[0]
+    n = len(measurements)
     N, h = bank.base_window, bank.base_step
     span = 2 * N
     if stride < 1:
@@ -283,7 +285,10 @@ def assemble_design(
     def rows(w0: int, w1: int) -> tuple:
         """X, Y, Z and times of the windows at offsets w0, w0 + stride, ... < w1."""
         last = w1 - 1 - (w1 - 1 - w0) % stride
-        filtered = _parity_filtered(measurements[w0 : last + span], bank)[:, ::stride]
+        samples = np.asarray(measurements[w0 : last + span], dtype=float)
+        if samples.ndim == 1:
+            samples = samples[:, None]
+        filtered = _parity_filtered(samples, bank)[:, ::stride]
         times = (np.arange(w0, last + 1, stride) + N - 0.5) * h + t0
         features = np.asarray(feature_map(times, filtered[1:]), dtype=float)
         if features.ndim != 3 or features.shape[:2] != (2, times.shape[0]):

@@ -30,14 +30,15 @@ modules = {n: sys.modules["ivsysid." + n] for n in ("cli", "dynamics", "harness"
 tracer = spans.Tracer()
 spans.instrument(tracer, modules)
 harness, cli = modules["harness"], modules["cli"]
-small = ["--set", "n=1500", "--set", "N=16", "--set", "p=3", "--set", "substeps=2"]
+small = ["--set", "N=16", "--set", "p=3"]
 with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
     config = harness.ExperimentConfig(
         mode="discrete", n=1500, N=16, p=3, trials=10, substeps=2
     )
     harness.run_experiment(config, Path(tmp) / "run")
     codes = [
-        cli.main(["simulate", "--mode", "continuous", *small, "--out", tmp]),
+        cli.main(["simulate", "--mode", "continuous", *small,
+                  "--set", "n=1500", "--set", "substeps=2", "--out", tmp]),
         cli.main(["estimate", "--mode", "continuous", *small,
                   "--input", str(Path(tmp) / "trajectory.csv")]),
     ]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,17 +86,18 @@ def test_estimate_matches_library_pipeline(tmp_path, capsys):
     cfg = ExperimentConfig(
         mode="continuous", n=2000, N=20, p=4, eta=0.05, trials=1, substeps=2
     )
-    common = [
-        "--mode", "continuous",
-        "--set", "n=2000", "--set", "N=20", "--set", "p=4",
-        "--set", "eta=0.05", "--set", "substeps=2",
-    ]
-    rc, _, _ = run_cli(capsys, "simulate", *common, "--out", str(tmp_path))
+    filters = ["--mode", "continuous", "--set", "N=20", "--set", "p=4"]
+    rc, _, _ = run_cli(
+        capsys, "simulate", *filters,
+        "--set", "n=2000", "--set", "eta=0.05", "--set", "substeps=2",
+        "--out", str(tmp_path),
+    )
     assert rc == 0
 
+    # the file gives n and h; estimate takes only the filter and estimator fields
     rc, out, err = run_cli(
         capsys,
-        "estimate", *common,
+        "estimate", *filters,
         "--input", str(tmp_path / "trajectory.csv"),
         "--out", str(tmp_path / "est"),
     )
@@ -112,6 +114,52 @@ def test_estimate_matches_library_pipeline(tmp_path, capsys):
 
     on_disk = json.loads((tmp_path / "est" / "estimate.json").read_text())
     assert on_disk["iv"]["theta"] == result["iv"]["theta"]
+
+
+@pytest.mark.parametrize(
+    "flag, named",
+    [
+        (["--trials", "7"], "--trials"),
+        (["--trials", "-5"], "--trials"),
+        (["--seed", "3"], "--seed"),
+        (["--set", "n=3000"], "--set n"),
+        (["--set", "h=0.01"], "--set h"),
+        (["--set", "eta=5"], "--set eta"),
+        (["--set", "trials=2"], "--set trials"),
+        (["--set", "master_seed=1"], "--set master_seed"),
+        (["--set", "substeps=3"], "--set substeps"),
+        (["--set", "x0=[1, 2, 3]"], "--set x0"),
+    ],
+)
+def test_estimate_rejects_flags_it_never_reads(tmp_path, capsys, flag, named):
+    # rejected before the input is read, so no file is needed
+    rc, out, err = run_cli(
+        capsys, "estimate", "--mode", "continuous", *flag,
+        "--input", str(tmp_path / "missing.csv"),
+    )
+    assert rc == 1 and out == ""
+    error = parse_json(err)["error"]
+    assert error["type"] == "CliError"
+    assert named in error["message"], error
+
+
+def test_estimate_reads_its_fields_from_a_full_manifest(tmp_path, capsys):
+    # a manifest may carry run fields (n, eta, trials, ...); estimate ignores them
+    rc, _, _ = run_cli(
+        capsys, "simulate", "--mode", "continuous", "--set", "n=400",
+        "--set", "substeps=1", "--out", str(tmp_path),
+    )
+    assert rc == 0
+    path = str(tmp_path / "trajectory.csv")
+    manifest = Path(__file__).resolve().parents[1] / "manifests" / "continuous.json"
+    rc, out, err = run_cli(capsys, "estimate", "--config", str(manifest), "--input", path)
+    assert rc == 0, err
+    rc, want, err = run_cli(
+        capsys, "estimate", "--mode", "continuous", "--set", "lam=1.0", "--set", "mu=200.0",
+        "--set", "stride=1", "--set", "forcing_freq=1.0", "--input", path,
+    )
+    assert rc == 0, err
+    assert parse_json(out) == parse_json(want)
 
 
 def test_estimate_rejects_nonuniform_grid(tmp_path, capsys):

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ivsysid.dynamics import (
     DivergenceError,
-    Trajectory,
     add_noise,
     feature_map,
     integrate,
@@ -133,27 +134,40 @@ def test_divergence_reports_step():
 
 
 def test_add_noise_zero_eta_is_identity(lorenz_trajectory):
-    short = Trajectory(
-        times=lorenz_trajectory.times[:100], states=lorenz_trajectory.states[:100]
-    )
-    assert np.array_equal(add_noise(short, 0.0, seed=5), short.states)
+    states = lorenz_trajectory.states[:100]
+    assert np.array_equal(add_noise(states, 0.0, np.random.default_rng(5)), states)
 
 
 def test_add_noise_matches_normal_draws(lorenz_trajectory):
     # the in-place draw gives the bits of states + normal(0, sqrt(eta))
     eta, seed = 0.37, 2024
-    noisy = add_noise(lorenz_trajectory, eta, seed)
-    shape = lorenz_trajectory.states.shape
-    expected = lorenz_trajectory.states + np.random.default_rng(seed).normal(
-        0.0, math.sqrt(eta), shape
-    )
+    states = lorenz_trajectory.states
+    noisy = add_noise(states, eta, np.random.default_rng(seed))
+    expected = states + np.random.default_rng(seed).normal(0.0, math.sqrt(eta), states.shape)
     assert np.array_equal(noisy, expected)
+
+
+@given(
+    sizes=st.lists(st.integers(0, 300), max_size=8),
+    eta=st.sampled_from([0.0, 0.37, 2.0]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_add_noise_in_blocks_equals_one_draw(lorenz_trajectory, sizes, eta, seed):
+    # consecutive row blocks of any sizes on one generator give the bits of
+    # one draw of all the rows: how a trial draws its record block by block
+    bounds = np.cumsum([0, *sizes])
+    states = lorenz_trajectory.states[: bounds[-1]]
+    whole = add_noise(states, eta, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    blocks = [add_noise(states[a:b], eta, rng) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert np.array_equal(np.concatenate([whole[:0], *blocks]), whole)
 
 
 def test_add_noise_variance_and_determinism(lorenz_trajectory):
     eta = 0.1
-    noisy = add_noise(lorenz_trajectory, eta, seed=123)
-    assert np.array_equal(noisy, add_noise(lorenz_trajectory, eta, seed=123))
+    states = lorenz_trajectory.states
+    noisy = add_noise(states, eta, np.random.default_rng(123))
+    assert np.array_equal(noisy, add_noise(states, eta, np.random.default_rng(123)))
     noise = noisy - lorenz_trajectory.states
     assert noise.var() == pytest.approx(eta, rel=0.02)
     # whiteness: lag-1 autocorrelation within 3/sqrt(n)

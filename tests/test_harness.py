@@ -2,23 +2,29 @@ from __future__ import annotations
 
 import json
 import math
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivsysid import harness
+from ivsysid import harness, splitfilters
 from ivsysid.bounds import ideal_window
-from ivsysid.dynamics import true_theta
+from ivsysid.dynamics import Trajectory, add_noise, true_theta
 from ivsysid.estimator import Estimate, SingularDesignError
 from ivsysid.harness import (
     ExperimentConfig,
     InsufficientDataError,
     SeriesEstimate,
+    SharedArtifacts,
     TrialResult,
+    _NoisySeries,
     apply_overrides,
     bootstrap_se,
     config_from_dict,
@@ -37,6 +43,7 @@ from ivsysid.harness import (
     write_trials_csv,
 )
 from ivsysid.polyfilter import FilterRankError
+from ivsysid.splitfilters import assemble_design, build_split_bank
 
 SMALL = ExperimentConfig(
     mode="continuous", n=2000, N=20, p=4, eta=0.05, trials=4, master_seed=7, substeps=2
@@ -388,6 +395,110 @@ def test_trial_diagnostics(small_shared):
     assert est.n_windows == SMALL.n - 2 * SMALL.N + 1
     assert est.iv.sigma_min_zx > 0
     assert isinstance(est.excitation["satisfied"], bool)
+
+
+def _whole_record(config: ExperimentConfig, trial_index: int, shared) -> np.ndarray:
+    # the oracle: one add_noise draw of the whole record on the trial's seed
+    rng = np.random.default_rng(trial_seed(config.master_seed, trial_index))
+    return add_noise(shared.trajectory.states, config.eta, rng)
+
+
+@pytest.mark.parametrize("block", [5, 64, 4096])
+@pytest.mark.parametrize("stride", [1, 3, 2 * SMALL.N + 1])
+def test_streamed_trial_equals_whole_record(small_shared, monkeypatch, block, stride):
+    # stride 2N + 1 leaves a sample between windows, which the draw must skip
+    config = replace(SMALL, stride=stride)
+    designs = []
+
+    def capture(*args, **kwargs):
+        designs.append(assemble_design(*args, **kwargs))
+        return designs[-1]
+
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", block)
+    monkeypatch.setattr(harness, "assemble_design", capture)
+    for i in range(2):
+        streamed = run_trial(config, i, small_shared).estimate
+        values = _whole_record(config, i, small_shared)
+        _assert_same_estimate(streamed, estimate_series(values, config, small_shared.bank))
+        trial_design, whole = designs[-2:]  # both went through capture
+        # the trial design's rebuilt rows restart the draw and read the same record
+        for name in ("X", "Y", "Z", "times"):
+            assert np.array_equal(getattr(trial_design, name), getattr(whole, name)), name
+
+
+@given(
+    reads=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 60)), min_size=1, max_size=8),
+    keep=st.integers(1, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_noisy_series_reads_equal_whole_record_slices(small_shared, reads, keep, seed):
+    # any read order: forward, overlapping, skipping, inside the kept rows or
+    # behind them (a restart) gives the slice of one whole-record draw
+    states = small_shared.trajectory.states[:150]
+    whole = add_noise(states, 0.3, np.random.default_rng(seed))
+    series = _NoisySeries(states, 0.3, seed, keep)
+    assert len(series) == 150
+    for start, length in reads:
+        assert np.array_equal(series[start : start + length], whole[start : start + length])
+
+
+def test_trial_memory_does_not_grow_with_n():
+    # a 400,000-sample record would take 9.2 MiB; a trial holds one block of
+    # it and the 2N - 1 rows the next block overlaps
+    n, h = 400_000, 1e-3
+    times = np.arange(1, n + 1) * h
+    states = np.column_stack(
+        [10 * np.sin(2.1 * times), 12 * np.cos(1.3 * times), 25 + 8 * np.sin(0.7 * times)]
+    )
+    bank = build_split_bank("discrete", 100, h, 75)
+    shared = SharedArtifacts(Trajectory(times, states), bank, true_theta(), "pseudo_true", 75, 75)
+    config = ExperimentConfig(mode="discrete", n=n, trials=1)
+    run_trial(config, 0, shared)  # fills the bank's spectra cache
+    tracemalloc.start()
+    try:
+        result = run_trial(config, 1, shared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.estimate.n_windows == n - 2 * 100 + 1
+    assert peak < states.nbytes, peak
+
+
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from ivsysid.dynamics import Trajectory, true_theta
+from ivsysid.harness import ExperimentConfig, SharedArtifacts, run_monte_carlo
+from ivsysid.splitfilters import build_split_bank
+
+n, workers, trials = (int(v) for v in sys.argv[2:])
+h = 1e-3
+times = np.arange(1, n + 1) * h
+states = np.column_stack([10 * np.sin(2.1 * times), 12 * np.cos(1.3 * times), 25 + times])
+bank = build_split_bank("discrete", 100, h, 75)
+shared = SharedArtifacts(Trajectory(times, states), bank, true_theta(), "pseudo_true", 75, 75)
+run_monte_carlo(ExperimentConfig(mode="discrete", n=n, trials=4), shared, workers)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_monte_carlo(ExperimentConfig(mode="discrete", n=n, trials=trials), shared, workers)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / trials)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+@pytest.mark.parametrize("n, workers, trials", [(100_000, 2, 24), (4_000, 1, 200)])
+def test_trial_blocks_do_not_fault_in_memory(n, workers, trials):
+    # in a fresh process, where nothing has raised glibc's thresholds yet:
+    # with the defaults its arenas were trimmed and refilled after every
+    # block, about 420 minor faults per trial at n = 1e5 on two workers and
+    # 80 at n = 4,000 on one
+    src = Path(harness.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, str(src), str(n), str(workers), str(trials)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 50, proc.stdout
 
 
 def test_unbuildable_degree_falls_back_with_warning():
