@@ -76,6 +76,8 @@ def mc_check_gamma(params: GammaParams, trials: int, seed: int) -> dict:
     """
     if trials < 10_000:
         raise ValueError(f"need at least 1e4 trials, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     r, a, b, K = params.r, params.a, params.b, params.K
     rng = np.random.default_rng(seed)
     W = np.abs(rng.normal(0.0, K / math.sqrt(2.0), size=trials))

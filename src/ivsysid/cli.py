@@ -20,15 +20,15 @@ import numpy as np
 from .bounds import GammaParams, corollary_rate, gamma, ideal_window, mc_check_gamma
 # Nothing here reads feature_map, assemble_design or the estimators; they stay
 # bound because bench/spans.py wraps them on this module (ROADMAP item 1).
-from .dynamics import add_noise, feature_map, integrate
+from .dynamics import feature_map, integrate
 from .estimator import excitation_check, iv_estimate, ls_estimate
 from .harness import (
     ExperimentConfig,
-    apply_overrides,
+    config_from_dict,
     estimate_series,
-    load_config,
+    json_text,
     run_experiment,
-    trial_seed,
+    trial_record,
     write_csv,
 )
 from .polyfilter import FilterSpec, build_filter
@@ -62,24 +62,38 @@ def _add_config_flags(sub: argparse.ArgumentParser, run_flags: bool = True) -> N
         default=[],
         metavar="KEY=VALUE",
         dest="overrides",
-        help="override a config field (repeatable)",
+        help="override a config field; VALUE parses as JSON, else as a string (repeatable)",
     )
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    # one dict, built once: a default that depends on a field (eta on mode) sees its final value
     if args.config and args.mode:
         raise CliError("pass either --config or --mode, not both")
     if args.config:
-        cfg = load_config(args.config)
+        with Path(args.config).open() as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise CliError(f"{args.config} must hold a JSON object of config fields")
     elif args.mode:
-        cfg = ExperimentConfig(mode=args.mode)
+        raw = {"mode": args.mode}
     else:
         raise CliError("either --config or --mode is required")
     if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, trials=args.trials)
+        raw["trials"] = args.trials
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    return apply_overrides(cfg, args.overrides)
+        raw["master_seed"] = args.seed
+    for item in args.overrides:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise CliError(f"override {item!r} is not of the form key=value")
+        if key not in ExperimentConfig.__dataclass_fields__:
+            raise CliError(f"unknown config field {key!r}")
+        try:
+            raw[key] = json.loads(value)
+        except json.JSONDecodeError:
+            raw[key] = value
+    return config_from_dict(raw)
 
 
 def _cmd_simulate(args) -> dict:
@@ -88,8 +102,8 @@ def _cmd_simulate(args) -> dict:
     header = ["t", "x1", "x2", "x3"]
     columns = [traj.times, *traj.states.T]
     if cfg.eta > 0:
-        rng = np.random.default_rng(trial_seed(cfg.master_seed, 0))
-        noisy = add_noise(traj.states, cfg.eta, rng)
+        # trial 0's record, as the benchmark's first trial measures it
+        noisy = trial_record(cfg, 0, traj.states).open()(0, cfg.n)
         header += ["z1", "z2", "z3"]
         columns += [*noisy.T]
     out = Path(args.out)
@@ -180,9 +194,7 @@ def _cmd_estimate(args) -> dict:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "estimate.json"
-        with path.open("w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path.write_text(json_text(result))
         result["written"] = [str(path)]
     return result
 
@@ -198,6 +210,9 @@ def _cmd_bounds(args) -> dict:
     gamma_flags = (args.r, args.a, args.b, args.K)
     rate_flags = (args.n, args.h, args.p, args.d)
     result: dict = {}
+    for flag, value in (("--mc-trials", args.mc_trials), ("--seed", args.seed)):
+        if value is not None and any(v is None for v in gamma_flags):
+            raise CliError(f"{flag} needs the moment bound: pass all of --r --a --b --K")
     if any(v is not None for v in gamma_flags):
         if any(v is None for v in gamma_flags):
             raise CliError("the moment bound needs all of --r --a --b --K")
@@ -209,7 +224,7 @@ def _cmd_bounds(args) -> dict:
             "tail": value.tail,
             "total": value.total,
         }
-        if args.mc_trials:
+        if args.mc_trials is not None:
             result["mc"] = mc_check_gamma(params, args.mc_trials, seed=args.seed or 0)
     if any(v is not None for v in rate_flags):
         if any(v is None for v in rate_flags):
@@ -282,8 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         sys.stderr.write("\n")
         return 1
-    json.dump(result, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(result))
     return 0
 
 

@@ -14,7 +14,6 @@ import ctypes
 import json
 import math
 import numbers
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -72,6 +71,8 @@ class ExperimentConfig:
         for name in ("n", "N", "p", "trials", "stride", "substeps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.N % 2:
             raise ValueError(f"N must be even for the parity split, got {self.N}")
         for name in ("h", "eta", "lam", "mu", "forcing_freq"):
@@ -198,9 +199,10 @@ def estimate_series(
 ) -> SeriesEstimate:
     """Filter one (n, 3) series with bank and solve IV and LS on its moments.
 
-    values is an (n, 3) array, or a series that assemble_design slices block
-    by block. Sample i sits at time t0 + i * h, with t0 = h when None (the
-    simulator's grid).
+    values is an (n, 3) array or a record, such as a trial's NoisyRecord:
+    an object with len() whose open() starts a forward pass of reads (see
+    assemble_design). Sample i sits at time t0 + i * h, with t0 = h when
+    None (the simulator's grid).
     """
     feats = lambda t, s: feature_map(t, s, config.forcing_freq)  # noqa: E731
     design = assemble_design(values, bank, feats, config.mu, config.stride, t0=t0)
@@ -228,48 +230,30 @@ def pseudo_true_discrete(
     return estimate_series(trajectory.states, config, bank).ls.theta
 
 
-class _NoisySeries:
-    """One trial's noisy record, drawn forward as assemble_design slices it.
+@dataclass(frozen=True)
+class NoisyRecord:
+    """One trial's measurements, states plus N(0, eta I) noise, as a record for assemble_design.
 
-    Row i is add_noise of states[i] on the trial's generator, with the bits
-    of one draw of the whole record: rows are drawn in order, rows a read
-    skips are drawn and dropped, and only the last `keep` rows drawn stay
-    for the next read to overlap. A read that starts before them, or ends
-    before the last row drawn, restarts the generator from the seed and
-    draws again from row 0; that is how a design's rebuilt rows get the
-    same noise.
+    Each pass, started by open(), draws on a fresh generator from seed, so
+    consecutive reads from row 0 give the bits of one add_noise draw of the
+    whole record, and passes share no state.
     """
 
-    def __init__(self, states: np.ndarray, eta: float, seed: int, keep: int):
-        self._states, self._eta, self._seed, self._keep = states, eta, seed, keep
-        self._lock = threading.Lock()
-        self._restart()
-
-    def _restart(self) -> None:
-        self._rng = np.random.default_rng(self._seed)
-        self._drawn = 0  # rows drawn so far; the kept rows end there
-        self._kept = np.empty((0, self._states.shape[1]))
+    states: np.ndarray
+    eta: float
+    seed: int
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self.states)
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, step = rows.indices(len(self))
-        if step != 1:
-            raise IndexError("a noisy series reads contiguous rows only")
-        with self._lock:
-            first = self._drawn - len(self._kept)
-            if start < first or stop <= self._drawn:
-                self._restart()
-                first = 0
-            fresh = add_noise(self._states[self._drawn : stop], self._eta, self._rng)
-            if start < self._drawn:
-                out = np.concatenate([self._kept[start - first :], fresh])
-            else:
-                out = fresh[start - self._drawn :]
-            self._drawn = stop
-            self._kept = out[-self._keep :].copy()
-            return out
+    def open(self):
+        rng = np.random.default_rng(self.seed)
+        return lambda a, b: add_noise(self.states[a:b], self.eta, rng)
+
+
+def trial_record(config: ExperimentConfig, trial_index: int, states: np.ndarray) -> NoisyRecord:
+    """The noisy record trial trial_index measures from the noiseless states."""
+    return NoisyRecord(states, config.eta, trial_seed(config.master_seed, trial_index))
 
 
 def run_trial(
@@ -277,14 +261,11 @@ def run_trial(
 ) -> TrialResult:
     """One seeded noise draw through the full pipeline, both estimators.
 
-    The noise is drawn block by block as the design reads it, so a trial
-    holds one block and the 2N - 1 rows the next block overlaps, not the
-    whole noisy record.
+    The design draws the noise as it reads the record, so a trial holds one
+    block of it, not the whole noisy record.
     """
-    seed = trial_seed(config.master_seed, trial_index)
-    keep = 2 * shared.bank.base_window - 1
-    measurements = _NoisySeries(shared.trajectory.states, config.eta, seed, keep)
-    return TrialResult(trial_index, estimate_series(measurements, config, shared.bank))
+    record = trial_record(config, trial_index, shared.trajectory.states)
+    return TrialResult(trial_index, estimate_series(record, config, shared.bank))
 
 
 def _keep_block_memory() -> None:
@@ -492,6 +473,11 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
+def json_text(data) -> str:
+    """data as indented JSON with sorted keys and a closing newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def write_trials_csv(path: Path, results: list[TrialResult]) -> None:
     header = ["trial_index", "estimator"]
     header += [f"theta_{r}_{c}" for r in range(6) for c in range(3)]
@@ -589,19 +575,10 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(out / "trials.csv", results)
     summary = summary_dict(config, shared, results, stats)
-    with (out / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "summary.json").write_text(json_text(summary))
     if stats.n_trials >= _KDE_MIN_TRIALS:
         write_kde_csv(out / "kde.csv", kde_export(results, shared.reference))
     return summary
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a JSON manifest."""
-    with Path(path).open() as fh:
-        raw = json.load(fh)
-    return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -614,19 +591,3 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "mode" not in raw:
         raise ValueError("config must set 'mode'")
     return ExperimentConfig(**raw)
-
-
-def apply_overrides(config: ExperimentConfig, assignments: list[str]) -> ExperimentConfig:
-    """Apply --set key=value overrides; values parse as JSON, else strings."""
-    updates = {}
-    for item in assignments:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"override {item!r} is not of the form key=value")
-        if key not in ExperimentConfig.__dataclass_fields__:
-            raise ValueError(f"unknown config field {key!r}")
-        try:
-            updates[key] = json.loads(value)
-        except json.JSONDecodeError:
-            updates[key] = value
-    return replace(config, **updates)

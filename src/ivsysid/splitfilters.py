@@ -237,8 +237,15 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     return out.transpose(0, 2, 1)
 
 
+def _open(measurements) -> Callable[[int, int], object]:
+    """Start a forward pass over an array or a record (see assemble_design)."""
+    if hasattr(measurements, "open"):
+        return measurements.open()
+    return lambda a, b: measurements[a:b]
+
+
 def assemble_design(
-    measurements: np.ndarray,
+    measurements,
     bank: SplitFilterBank,
     feature_map: Callable[[np.ndarray, np.ndarray], np.ndarray],
     mu: float,
@@ -247,14 +254,15 @@ def assemble_design(
 ) -> DesignMatrices:
     """Slide the split windows over a measurement series and sum the moments.
 
-    `measurements` is an (n, d) or (n,) array, or any object with len() whose
-    row slices convert to one; each slice is converted as it is read. Sample i
-    (0-based row) sits at time t0 + i * h, with
-    t0 = h when not given (the simulator's grid). Windows span 2N raw samples
-    (N per parity class) and start at offsets 0, stride, 2*stride, ... as
-    long as they fit; trailing samples that do not fill a window are dropped.
-    For the window at offset w the regression time is t = t0 + (w + N - 1/2) * h
-    and
+    `measurements` is an (n, d) or (n,) array, or a record: an object with
+    len() whose open() starts a pass and returns read(a, b), rows a to b - 1.
+    A pass reads consecutive row ranges from row 0 and never goes back, so a
+    record may draw rows as they are read. Sample i (0-based row) sits at
+    time t0 + i * h, with t0 = h when not given (the simulator's grid).
+    Windows span 2N raw samples (N per parity class) and start at offsets
+    0, stride, 2*stride, ... as long as they fit; trailing samples that do
+    not fill a window are dropped. For the window at offset w the regression
+    time is t = t0 + (w + N - 1/2) * h and
 
         X row  = feature_map(t, hat_G state estimate)       (later parity)
         Y row  = hat_H response estimate                    (later parity)
@@ -263,12 +271,14 @@ def assemble_design(
 
     The offsets are walked in blocks of about _BLOCK_WINDOWS, each starting
     at a multiple of stride, and each block's moments are added in order.
+    The walk keeps the rows a block shares with the next one, and reads and
+    drops the rows that a stride wider than 2N leaves between blocks.
     feature_map must broadcast over a leading axis: given a (b,) time vector
     and (2, b, d_y) states it returns (2, b, d_phi) features. It is called
     once per block, on the hat and the tilde states together.
 
-    The design's X, Y, Z and times, when read, are rebuilt from
-    `measurements`, which must give the same rows while the design is in use.
+    The design's X, Y, Z and times, when read, are rebuilt in one block from
+    a second pass, which must give the same rows as the first.
 
     Raises:
         EmptyDesignError: fewer samples than one window.
@@ -282,14 +292,15 @@ def assemble_design(
         raise EmptyDesignError(f"need at least {span} samples for one window, got {n}")
     t0 = h if t0 is None else t0
 
-    def rows(w0: int, w1: int) -> tuple:
-        """X, Y, Z and times of the windows at offsets w0, w0 + stride, ... < w1."""
-        last = w1 - 1 - (w1 - 1 - w0) % stride
-        samples = np.asarray(measurements[w0 : last + span], dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, None]
+    def end(w0: int, w1: int) -> int:
+        """One past the last row read by the windows at offsets w0, w0 + stride, ... < w1."""
+        return w1 - 1 - (w1 - 1 - w0) % stride + span
+
+    def rows(samples: np.ndarray, w0: int, w1: int) -> tuple:
+        """X, Y, Z and times of the windows at w0, w0 + stride, ... < w1 from rows w0 to end."""
+        samples = np.asarray(samples, dtype=float).reshape(len(samples), -1)
         filtered = _parity_filtered(samples, bank)[:, ::stride]
-        times = (np.arange(w0, last + 1, stride) + N - 0.5) * h + t0
+        times = (np.arange(w0, w1, stride) + N - 0.5) * h + t0
         features = np.asarray(feature_map(times, filtered[1:]), dtype=float)
         if features.ndim != 3 or features.shape[:2] != (2, times.shape[0]):
             raise ValueError(
@@ -301,9 +312,18 @@ def assemble_design(
 
     windows = n - span + 1
     block = max(stride, _BLOCK_WINDOWS - _BLOCK_WINDOWS % stride)
-    design = DesignMatrices(*rows(0, min(block, windows)), window_span=span)
-    for w0 in range(block, windows, block):
-        X, Y, Z, _ = rows(w0, min(w0 + block, windows))
-        design._add_block(X, Y, Z)
-    design._rebuild = lambda: rows(0, windows)
+    read, pos, design = _open(measurements), 0, None  # pos: rows read so far
+    for w0 in range(0, windows, block):
+        w1 = min(w0 + block, windows)
+        stop = end(w0, w1)
+        if pos < w0:
+            read(pos, w0)  # rows no window reads
+        samples = read(w0, stop) if pos <= w0 else np.concatenate([kept, read(pos, stop)])
+        pos, kept = stop, samples[block:]  # kept: the rows from the next w0 on
+        X, Y, Z, times = rows(samples, w0, w1)
+        if design is None:
+            design = DesignMatrices(X, Y, Z, times, window_span=span)
+        else:
+            design._add_block(X, Y, Z)
+    design._rebuild = lambda: rows(_open(measurements)(0, end(0, windows)), 0, windows)
     return design

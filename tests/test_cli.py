@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ivsysid.bounds import GammaParams, corollary_rate, gamma, ideal_window
-from ivsysid.cli import main
+from ivsysid.cli import _resolve_config, build_parser, main
 from ivsysid.dynamics import integrate
 from ivsysid.harness import ExperimentConfig, prepare_shared, run_trial
 
@@ -371,6 +371,93 @@ def test_bounds_partial_flags_error(capsys):
     assert parse_json(err)["error"]["type"] == "CliError"
 
 
+@pytest.mark.parametrize("flag", [["--mc-trials", "20000"], ["--seed", "5"]], ids=["mc", "seed"])
+def test_bounds_mc_flags_need_the_moment_flags(capsys, flag):
+    rate = ["--n", "100000", "--h", "0.001", "--p", "8", "--d", "1"]
+    for moment in ([], ["--r", "2", "--a", "1"]):
+        rc, out, err = run_cli(capsys, "bounds", *rate, *moment, *flag)
+        assert rc == 1 and out == ""
+        error = parse_json(err)["error"]
+        assert error["type"] == "CliError"
+        assert flag[0] in error["message"], error
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mc-trials", "0"], "need at least 1e4 trials, got 0"),
+        (["--mc-trials", "20000", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["zero-trials", "negative-seed"],
+)
+def test_bounds_mc_check_rejects_bad_values(capsys, flags, message):
+    moment = ["--r", "2", "--a", "1", "--b", "10", "--K", "1"]
+    rc, out, err = run_cli(capsys, "bounds", *moment, *flags)
+    assert rc == 1 and out == ""
+    assert parse_json(err)["error"] == {"type": "ValueError", "message": message}
+
+
+def _benchmark_config(*argv):
+    # the config `ivsysid benchmark` would run with these flags
+    return _resolve_config(build_parser().parse_args(["benchmark", *argv, "--out", "unused"]))
+
+
+def test_manifest_flags_and_overrides_build_one_config(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"mode": "discrete", "n": 5000, "trials": 12}))
+    assert _benchmark_config("--config", str(path)) == ExperimentConfig(
+        mode="discrete", n=5000, trials=12
+    )
+    cfg = _benchmark_config(
+        "--config", str(path), "--trials", "3", "--seed", "4",
+        "--set", "n=4000", "--set", "eta=0.2", "--set", "x0=[1, 2, 3]",
+        "--set", "mode=continuous",
+    )
+    assert cfg == ExperimentConfig(
+        mode="continuous", n=4000, trials=3, master_seed=4, eta=0.2, x0=(1.0, 2.0, 3.0)
+    )
+    # --set applies after --trials and --seed
+    cfg = _benchmark_config("--mode", "discrete", "--trials", "3", "--set", "trials=5")
+    assert cfg.trials == 5
+
+
+def test_set_mode_takes_the_final_modes_eta_default(tmp_path):
+    assert _benchmark_config("--mode", "continuous", "--set", "mode=discrete").eta == 1.0
+    assert _benchmark_config("--mode", "discrete", "--set", "mode=continuous").eta == 0.1
+    bare, explicit = tmp_path / "bare.json", tmp_path / "explicit.json"
+    bare.write_text(json.dumps({"mode": "continuous"}))
+    explicit.write_text(json.dumps({"mode": "continuous", "eta": 0.1}))
+    assert _benchmark_config("--config", str(bare), "--set", "mode=discrete").eta == 1.0
+    # an eta the manifest states wins over the mode's default
+    assert _benchmark_config("--config", str(explicit), "--set", "mode=discrete").eta == 0.1
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [(["discrete"], "must hold a JSON object"), ({"n": 100}, "config must set 'mode'")],
+    ids=["list", "no-mode"],
+)
+def test_bad_manifest_errors(tmp_path, capsys, manifest, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
+    assert rc == 1
+    assert message in parse_json(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_negative_seed_fails_at_the_boundary(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc, _, err = run_cli(
+        capsys, command, "--mode", "continuous", "--seed", "-1",
+        "--set", "n=3000", "--set", "N=20", "--set", "p=8", "--out", str(out),
+    )
+    assert rc == 1
+    error = parse_json(err)["error"]
+    assert error == {"type": "ValueError", "message": "master_seed must be >= 0, got -1"}
+    assert not out.exists()
+
+
 def test_config_and_mode_conflict(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"mode": "discrete"}))
@@ -395,6 +482,17 @@ def test_unknown_override_errors(tmp_path, capsys):
     )
     assert rc == 1
     assert "unknown config field" in parse_json(err)["error"]["message"]
+
+
+def test_malformed_override_errors(tmp_path, capsys):
+    rc, _, err = run_cli(
+        capsys, "simulate", "--mode", "continuous", "--set", "n4000", "--out", str(tmp_path),
+    )
+    assert rc == 1
+    assert parse_json(err)["error"] == {
+        "type": "CliError",
+        "message": "override 'n4000' is not of the form key=value",
+    }
 
 
 def test_invalid_filter_spec_errors(tmp_path, capsys):

@@ -23,14 +23,12 @@ from ivsysid.harness import (
     InsufficientDataError,
     SeriesEstimate,
     SharedArtifacts,
+    NoisyRecord,
     TrialResult,
-    _NoisySeries,
-    apply_overrides,
     bootstrap_se,
     config_from_dict,
     estimate_series,
     kde_export,
-    load_config,
     prepare_shared,
     run_experiment,
     run_monte_carlo,
@@ -427,19 +425,21 @@ def test_streamed_trial_equals_whole_record(small_shared, monkeypatch, block, st
 
 
 @given(
-    reads=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 60)), min_size=1, max_size=8),
-    keep=st.integers(1, 30),
+    sizes=st.lists(st.integers(0, 60), max_size=8),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_noisy_series_reads_equal_whole_record_slices(small_shared, reads, keep, seed):
-    # any read order: forward, overlapping, skipping, inside the kept rows or
-    # behind them (a restart) gives the slice of one whole-record draw
+def test_noisy_record_passes_equal_one_whole_record_draw(small_shared, sizes, seed):
+    # any split of a pass into consecutive reads from row 0, and a second
+    # pass read in one piece, give the rows of one whole-record draw
     states = small_shared.trajectory.states[:150]
+    bounds = np.minimum(np.cumsum([0, *sizes]), len(states))
     whole = add_noise(states, 0.3, np.random.default_rng(seed))
-    series = _NoisySeries(states, 0.3, seed, keep)
-    assert len(series) == 150
-    for start, length in reads:
-        assert np.array_equal(series[start : start + length], whole[start : start + length])
+    record = NoisyRecord(states, 0.3, seed)
+    assert len(record) == 150
+    read = record.open()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        assert np.array_equal(read(a, b), whole[a:b])
+    assert np.array_equal(record.open()(0, 150), whole)
 
 
 def test_trial_memory_does_not_grow_with_n():
@@ -648,6 +648,8 @@ def test_config_validation():
         ExperimentConfig(mode="continuous", eta=-0.1)
     with pytest.raises(ValueError):
         ExperimentConfig(mode="continuous", x0=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"^master_seed must be >= 0, got -1$"):
+        ExperimentConfig(mode="continuous", master_seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -709,23 +711,3 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"mode": "continuous", "bogus": 1})
     with pytest.raises(ValueError, match="mode"):
         config_from_dict({"n": 100})
-
-
-def test_load_config_roundtrip(tmp_path):
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"mode": "discrete", "n": 5000, "trials": 12}))
-    cfg = load_config(path)
-    assert cfg == ExperimentConfig(mode="discrete", n=5000, trials=12)
-
-
-def test_apply_overrides():
-    cfg = ExperimentConfig(mode="continuous")
-    out = apply_overrides(cfg, ["n=4000", "eta=0.2", "mode=discrete"])
-    assert out.n == 4000 and out.eta == 0.2 and out.mode == "discrete"
-    assert cfg.n == 100_000  # original untouched
-    out2 = apply_overrides(cfg, ["x0=[1, 2, 3]"])
-    assert out2.x0 == (1.0, 2.0, 3.0)
-    with pytest.raises(ValueError, match="key=value"):
-        apply_overrides(cfg, ["n4000"])
-    with pytest.raises(ValueError, match="unknown config field"):
-        apply_overrides(cfg, ["q=1"])

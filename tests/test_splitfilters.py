@@ -471,6 +471,51 @@ def test_strided_rows_are_every_sth_unit_stride_row(mode, n, stride, block, seed
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
+class _RecordingRecord:
+    """A record over an array that logs the (a, b) reads of each pass."""
+
+    def __init__(self, values: np.ndarray):
+        self.values, self.passes = values, []
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def open(self):
+        reads = []
+        self.passes.append(reads)
+
+        def read(a, b):
+            reads.append((a, b))
+            return self.values[a:b]
+
+        return read
+
+
+@pytest.mark.parametrize("stride", [1, 3, 20, 21])
+def test_design_reads_each_pass_forward_from_row_zero(monkeypatch, stride):
+    # N = 10: stride 20 = 2N leaves no row between blocks, 21 leaves rows to skip
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 64)
+    bank = build_split_bank("discrete", 10, 0.01, 4)
+    y = np.random.default_rng(9).normal(size=(500, 3))
+    record = _RecordingRecord(y)
+    design = assemble_design(record, bank, lorenz_features, mu=50.0, stride=stride)
+    assert len(record.passes) == 1 and len(record.passes[0]) > 1
+    rows = {name: getattr(design, name) for name in ("X", "Y", "Z", "times")}
+    assert len(record.passes) == 2 and len(record.passes[1]) == 1  # the rebuild: one read
+    for reads in record.passes:
+        starts = [a for a, _ in reads]
+        ends = [b for _, b in reads]
+        assert starts == [0, *ends[:-1]], reads
+        assert all(a < b for a, b in reads), reads
+    assert record.passes[0][-1][1] == record.passes[1][0][1] <= len(y)
+    whole = assemble_design(y, bank, lorenz_features, mu=50.0, stride=stride)
+    assert design.n_windows == whole.n_windows
+    for name in ("xx", "xy", "zx", "zy"):
+        assert np.array_equal(getattr(design, name), getattr(whole, name)), name
+    for name, got in rows.items():
+        assert np.array_equal(got, getattr(whole, name)), name
+
+
 def test_feature_map_called_once_per_block(monkeypatch):
     calls = []
 
