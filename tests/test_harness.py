@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ivsysid import harness, splitfilters
 from ivsysid.bounds import ideal_window
+from ivsysid.cli import _resolve_config, build_parser
 from ivsysid.dynamics import Trajectory, add_noise, true_theta
 from ivsysid.estimator import Estimate, SingularDesignError
 from ivsysid.harness import (
@@ -711,3 +712,27 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"mode": "continuous", "bogus": 1})
     with pytest.raises(ValueError, match="mode"):
         config_from_dict({"n": 100})
+
+
+def _resolved(*argv):
+    # manifests and overrides are read where the CLI builds its one config
+    return _resolve_config(build_parser().parse_args(["benchmark", *argv, "--out", "unused"]))
+
+
+def test_load_config_roundtrip(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"mode": "discrete", "n": 5000, "trials": 12}))
+    cfg = _resolved("--config", str(path))
+    assert cfg == ExperimentConfig(mode="discrete", n=5000, trials=12)
+
+
+def test_apply_overrides():
+    out = _resolved("--mode", "continuous", "--set", "n=4000", "--set", "eta=0.2",
+                    "--set", "mode=discrete")
+    assert out.n == 4000 and out.eta == 0.2 and out.mode == "discrete"
+    out2 = _resolved("--mode", "continuous", "--set", "x0=[1, 2, 3]")
+    assert out2.x0 == (1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="key=value"):
+        _resolved("--mode", "continuous", "--set", "n4000")
+    with pytest.raises(ValueError, match="unknown config field"):
+        _resolved("--mode", "continuous", "--set", "q=1")
