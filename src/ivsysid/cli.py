@@ -9,6 +9,7 @@ print to stderr as JSON with a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 import warnings
@@ -27,6 +28,7 @@ from .harness import (
     config_from_dict,
     estimate_series,
     json_text,
+    keep_block_memory,
     run_experiment,
     trial_record,
     write_csv,
@@ -137,41 +139,149 @@ def _cmd_filters(args) -> dict:
     }
 
 
-def _read_measurements(path: str) -> tuple[np.ndarray, np.ndarray]:
-    # utf-8-sig drops a leading byte-order mark; header names may be padded
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        fields = [name.strip() for name in fh.readline().split(",")]
-        if "t" not in fields:
-            raise CliError(f"{path} has no 't' column (found {fields})")
-        if all(c in fields for c in ("z1", "z2", "z3")):
-            cols = ("t", "z1", "z2", "z3")
-        elif all(c in fields for c in ("x1", "x2", "x3")):
-            cols = ("t", "x1", "x2", "x3")
-        else:
-            raise CliError(f"{path} needs columns z1..z3 or x1..x3 (found {fields})")
+#: Bytes per read of the row count's scan: a 7.5 MB file took 2.6-2.7 ms at
+#: 128 KiB and 13-14 ms at 1 MiB on a 2-core Xeon.
+_COUNT_CHUNK = 1 << 17
+
+
+def _rows_in(piece: bytes) -> int:
+    r"""The rows np.loadtxt reads from piece, which starts a line.
+
+    np.loadtxt splits lines at \n, \r\n or \r and skips a line with nothing
+    before its first '#'. A piece that ends at a \n, whose breaks are all \n
+    or all \r\n, and that holds no '#' and no empty line, has one row per
+    \n; any other piece is split into lines.
+    """
+    codes = np.frombuffer(piece, np.uint8)
+    lf = codes == ord("\n")
+    # the first byte of an empty line: \n, or with \r\n breaks the \r
+    blank = lf if b"\r" not in piece else codes == ord("\r")
+    if (
+        piece.endswith(b"\n")
+        and b"#" not in piece
+        and (blank is lf or np.array_equal(blank[:-1], lf[1:]))  # \r\n breaks only
+        and not (lf[0] or blank[0] or (lf[:-1] & blank[1:]).any())
+    ):
+        return int(np.count_nonzero(lf))
+    return sum(1 for line in piece.splitlines() if line.partition(b"#")[0])
+
+
+def _count_rows(path: str) -> int:
+    """The lines of a file that np.loadtxt reads as rows, in one chunked scan."""
+    rows = 0
+    with open(path, "rb") as fh:
+        rest = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
+        while chunk := fh.read(_COUNT_CHUNK):
+            lines = rest + chunk
+            cut = max(lines.rfind(b"\n"), lines.rfind(b"\r")) + 1
+            rows += _rows_in(lines[:cut])
+            rest = lines[cut:]
+    return rows + _rows_in(rest)
+
+
+def _read_measurements(fh, usecols: list[int], rows: int) -> np.ndarray:
+    """Parse the next `rows` rows of an open CSV: (rows, len(usecols)) floats."""
+    with warnings.catch_warnings():
+        # the notice that skipped lines do not count towards max_rows
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2, max_rows=rows)
+
+
+class _CsvRecord:
+    """A measurement CSV as a record for assemble_design, parsed block by block.
+
+    len() counts the data rows; each pass that open() starts parses the rows
+    as the design reads them, so a pass holds one block, not the file. Every
+    block is checked: values finite, and each time step, the one from the
+    block before included, equal to the first step to a relative 1e-9. The
+    first `head` rows are parsed and checked here, so the faults of a file
+    shorter than one window are reported before its length.
+    """
+
+    def __init__(self, path: str, head: int):
+        self.path = path
+        # utf-8-sig drops a leading byte-order mark; header names may be padded
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = fh.readline()
+            fields = [name.strip() for name in header.split(",")]
+            if "t" not in fields:
+                raise CliError(f"{path} has no 't' column (found {fields})")
+            if all(c in fields for c in ("z1", "z2", "z3")):
+                self.columns = ("t", "z1", "z2", "z3")
+            elif all(c in fields for c in ("x1", "x2", "x3")):
+                self.columns = ("t", "x1", "x2", "x3")
+            else:
+                raise CliError(f"{path} needs columns z1..z3 or x1..x3 (found {fields})")
+            self.usecols = [fields.index(c) for c in self.columns]
+            # the header line is no data row, unless np.loadtxt would skip it
+            self.n = _count_rows(path) - bool(header.rstrip("\r\n").partition("#")[0])
+            if self.n < 2:
+                raise CliError(f"{path} has {self.n} data rows; need at least 2")
+            first = self._parse(fh, 0, min(self.n, head))
+        self.t0, self.h = float(first[0, 0]), float(first[1, 0] - first[0, 0])
+        self._check(first, 0, None)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def open(self):
+        """Start a pass; it closes the file at the last row or at a fault."""
+        fh = open(self.path, newline="", encoding="utf-8-sig")
+        fh.readline()
+        before = None  # the time of the row before the next read
+
+        def read(a: int, b: int) -> np.ndarray:
+            nonlocal before
+            try:
+                block = self._parse(fh, a, b - a)
+                self._check(block, a, before)
+            except BaseException:
+                fh.close()
+                raise
+            if b == self.n:
+                fh.close()
+            before = block[-1, 0]
+            return block[:, 1:]
+
+        return read
+
+    def _parse(self, fh, first: int, rows: int) -> np.ndarray:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a file without data rows is rejected below
-                data = np.loadtxt(
-                    fh, delimiter=",", usecols=[fields.index(c) for c in cols], ndmin=2
-                )
+            block = _read_measurements(fh, self.usecols, rows)
         except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from exc
-    if data.shape[0] < 2:
-        raise CliError(f"{path} has {data.shape[0]} data rows; need at least 2")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
+            raise CliError(
+                f"{self.path}: {exc} (in data rows {first + 1} to {first + rows})"
+            ) from exc
+        if len(block) != rows:
+            raise CliError(f"{self.path}: expected {self.n} data rows, read {first + len(block)}")
+        return block
+
+    def _check(self, block: np.ndarray, first: int, before: float | None) -> None:
+        """Raise at the first fault of data rows first + 1 .. first + len(block)."""
+        if not np.isfinite(block).all():
+            row, col = np.argwhere(~np.isfinite(block))[0]
+            raise CliError(
+                f"{self.path}: column {self.columns[col]!r} has a non-finite value "
+                f"({block[row, col]}) at data row {first + row + 1}"
+            )
+        t, h = block[:, 0], self.h
+        tol = 1e-9 * abs(h)
+        steps = np.diff(t)
+        steps -= h
+        np.abs(steps, out=steps)  # np.allclose(steps, h, rtol=1e-9, atol=0), in place
+        if not 0 < h < np.inf:
+            bad = 1
+        elif before is not None and not abs(t[0] - before - h) <= tol:
+            bad = 0
+        elif len(steps) and not steps.max() <= tol:
+            bad = int(np.argmax(steps > tol)) + 1
+        else:
+            return
+        step = t[bad] - (t[bad - 1] if bad else before)
         raise CliError(
-            f"{path}: column {cols[col]!r} has a non-finite value "
-            f"({data[row, col]}) at data row {row + 1}"
+            f"{self.path}: time column 't' is not a uniform positive grid: the step to "
+            f"data row {first + bad + 1} is {step!r}, the first step {h!r}"
         )
-    t = data[:, 0]
-    steps = np.diff(t)
-    h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0):
-        raise CliError(f"{path} time column is not a uniform positive grid")
-    return t, data[:, 1:]
 
 
 def _cmd_estimate(args) -> dict:
@@ -183,11 +293,12 @@ def _cmd_estimate(args) -> dict:
                 f"{', '.join(_ESTIMATE_FIELDS)}"
             )
     cfg = _resolve_config(args)
-    times, values = _read_measurements(args.input)
+    keep_block_memory()
+    record = _CsvRecord(args.input, head=2 * cfg.N)
     # the file is authoritative for sample count and step
-    cfg = replace(cfg, n=len(times), h=float(times[1] - times[0]))
+    cfg = replace(cfg, n=len(record), h=record.h)
     bank = build_split_bank(cfg.mode, cfg.N, cfg.h, cfg.p)
-    result = asdict(estimate_series(values, cfg, bank, t0=float(times[0])))
+    result = asdict(estimate_series(record, cfg, bank, t0=record.t0))
     for name in ("iv", "ls"):
         result[name]["theta"] = result[name]["theta"].tolist()
     if args.out:

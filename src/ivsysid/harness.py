@@ -268,11 +268,11 @@ def run_trial(
     return TrialResult(trial_index, estimate_series(record, config, shared.bank))
 
 
-def _keep_block_memory() -> None:
-    """Keep the trials' freed block temporaries in their malloc arenas.
+def keep_block_memory() -> None:
+    """Keep a block walk's freed temporaries in the process's malloc arenas.
 
     glibc starts its mmap and trim thresholds at 128 KB and raises them only
-    when a large mapped block is freed, which no trial does. Below them it
+    when a large mapped block is freed, which no walk does. Below them it
     returns an arena's freed top to the system after a block of windows,
     and the next block faults it back in: about 420 minor faults per
     published trial on two workers (10-15 % fewer trials per second), and
@@ -302,7 +302,7 @@ def run_monte_carlo(
 
     Trials are independent given their seeds, so any worker count produces
     identical per-trial output. It sets the process's malloc thresholds
-    first (see _keep_block_memory).
+    first (see keep_block_memory).
     """
     def one(i: int) -> TrialResult:
         try:
@@ -310,7 +310,7 @@ def run_monte_carlo(
         except (ValueError, ArithmeticError) as exc:  # numerical and domain errors are data
             return TrialResult(i, None, error=f"{type(exc).__name__}: {exc}")
 
-    _keep_block_memory()
+    keep_block_memory()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(config.trials)))  # in input order

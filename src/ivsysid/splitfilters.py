@@ -256,8 +256,9 @@ def assemble_design(
 
     `measurements` is an (n, d) or (n,) array, or a record: an object with
     len() whose open() starts a pass and returns read(a, b), rows a to b - 1.
-    A pass reads consecutive row ranges from row 0 and never goes back, so a
-    record may draw rows as they are read. Sample i (0-based row) sits at
+    A pass reads consecutive row ranges from row 0 to row n and never goes
+    back, so a record may draw or parse rows as they are read, and check
+    every row, also those after the last window. Sample i (0-based row) sits at
     time t0 + i * h, with t0 = h when not given (the simulator's grid).
     Windows span 2N raw samples (N per parity class) and start at offsets
     0, stride, 2*stride, ... as long as they fit; trailing samples that do
@@ -325,5 +326,15 @@ def assemble_design(
             design = DesignMatrices(X, Y, Z, times, window_span=span)
         else:
             design._add_block(X, Y, Z)
-    design._rebuild = lambda: rows(_open(measurements)(0, end(0, windows)), 0, windows)
+    if pos < n:
+        read(pos, n)  # rows after the last window
+
+    def rebuild() -> tuple:
+        read, stop = _open(measurements), end(0, windows)
+        samples = read(0, stop)
+        if stop < n:
+            read(stop, n)
+        return rows(samples, 0, windows)
+
+    design._rebuild = rebuild
     return design

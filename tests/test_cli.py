@@ -2,15 +2,28 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ivsysid import cli, splitfilters
 from ivsysid.bounds import GammaParams, corollary_rate, gamma, ideal_window
 from ivsysid.cli import _resolve_config, build_parser, main
 from ivsysid.dynamics import integrate
-from ivsysid.harness import ExperimentConfig, prepare_shared, run_trial
+from ivsysid.harness import (
+    ExperimentConfig,
+    estimate_series,
+    json_text,
+    prepare_shared,
+    run_trial,
+)
+from ivsysid.splitfilters import build_split_bank
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +232,157 @@ def test_estimate_accepts_bom_and_padded_header(tmp_path, capsys, prefix, header
     rc, got, err = run_cli(capsys, "estimate", *common, "--input", str(odd))
     assert rc == 0, err
     assert parse_json(got) == parse_json(want)
+
+
+def _measurement_rows(n: int) -> list[str]:
+    """Data rows of a noisy n-sample record on the simulator's grid, as CSV lines."""
+    t = (np.arange(n) + 1) * 1e-3
+    noise = 0.01 * np.random.default_rng(3).normal(size=(n, 3))
+    z = np.column_stack([np.sin(t), np.cos(2 * t), t]) + noise
+    return [f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in np.column_stack([t, z]).tolist()]
+
+
+def _inserted(lines: list[str], at: int, line: str) -> list[str]:
+    return lines[:at] + [line] + lines[at:]
+
+
+#: Files np.loadtxt reads as the plain file, by the change they make to it
+_ODD_FILES = {
+    "trailing-blank": lambda rows: "t,z1,z2,z3\n" + "\n".join(rows) + "\n\n",
+    "no-final-newline": lambda rows: "t,z1,z2,z3\n" + "\n".join(rows),
+    "crlf": lambda rows: "t,z1,z2,z3\r\n" + "\r\n".join(rows) + "\r\n",
+    "bom-padded-header": lambda rows: "\ufeff t , z1,z2 ,z3 \n" + "\n".join(rows) + "\n",
+    "blank-inside": lambda rows: "\n".join(["t,z1,z2,z3", *_inserted(rows, 1500, "")]) + "\n",
+    "comment-inside": (
+        lambda rows: "\n".join(["t,z1,z2,z3", *_inserted(rows, 1500, "# a comment")]) + "\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ODD_FILES))
+def test_estimate_counts_the_rows_loadtxt_reads(tmp_path, capsys, monkeypatch, name):
+    # blocks of 256 windows and a 997-byte count chunk put line breaks, CRLF
+    # pairs and the odd line at every kind of boundary
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 256)
+    monkeypatch.setattr(cli, "_COUNT_CHUNK", 997)
+    common = ["--mode", "continuous", "--set", "N=20", "--set", "p=4"]
+    rows = _measurement_rows(3000)
+    plain, odd = tmp_path / "plain.csv", tmp_path / f"{name}.csv"
+    plain.write_bytes(("t,z1,z2,z3\n" + "\n".join(rows) + "\n").encode())
+    odd.write_bytes(_ODD_FILES[name](rows).encode())
+    rc, want, err = run_cli(capsys, "estimate", *common, "--input", str(plain))
+    assert rc == 0, err
+    rc, got, err = run_cli(capsys, "estimate", *common, "--input", str(odd))
+    assert rc == 0, err
+    assert got == want
+
+
+@given(
+    tokens=st.sampled_from([["1,2", "3,4 # x", "", "# c", "#"], ["1,2", "1,2", ""], ["1,2", "#"]]),
+    breaks=st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n"], ["\n", "\r"]]),
+    data=st.data(),
+    last=st.booleans(),
+    chunk=st.sampled_from([1, 5, 16, 64]),
+)
+def test_row_count_equals_loadtxt(tmp_path_factory, tokens, breaks, data, last, chunk):
+    lines = data.draw(st.lists(st.sampled_from(tokens), max_size=40))
+    text = "".join(line + data.draw(st.sampled_from(breaks)) for line in lines)
+    if not last:
+        text = text.rstrip("\r\n")  # no line break after the last line
+    path = tmp_path_factory.mktemp("count") / "rows.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # np.loadtxt warns when it finds no rows
+        want = np.loadtxt(path, delimiter=",", ndmin=2).shape[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_COUNT_CHUNK", chunk)
+        assert cli._count_rows(str(path)) == want
+
+
+@pytest.mark.parametrize("block", [64, 4096])
+@pytest.mark.parametrize("stride", [1, 3, 41])
+def test_streamed_estimate_equals_the_array_estimate(tmp_path, capsys, monkeypatch, block, stride):
+    # N = 20: stride 41 = 2N + 1 also skips rows between blocks
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", block)
+    path = tmp_path / "record.csv"
+    path.write_text("t,z1,z2,z3\n" + "\n".join(_measurement_rows(10_003)) + "\n")
+    rc, out, err = run_cli(
+        capsys, "estimate", "--mode", "continuous", "--set", "N=20", "--set", "p=4",
+        "--set", f"stride={stride}", "--input", str(path),
+    )
+    assert rc == 0, err
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    h = float(data[1, 0] - data[0, 0])
+    cfg = ExperimentConfig(mode="continuous", n=len(data), h=h, N=20, p=4, stride=stride)
+    bank = build_split_bank("continuous", 20, h, 4)
+    want = asdict(estimate_series(data[:, 1:], cfg, bank, t0=float(data[0, 0])))
+    for name in ("iv", "ls"):
+        want[name]["theta"] = want[name]["theta"].tolist()
+    assert out == json_text(want)
+
+
+@pytest.mark.parametrize(
+    "fault, flags, named",
+    [
+        # a NaN in the third block of 64 windows
+        pytest.param("nan-late", [], ["'z3'", "data row 250"], id="nan-late"),
+        # t jumps by h/2 at the first row of the second block: only the step
+        # across the boundary is off
+        pytest.param("step-at-boundary", [], ["uniform", "data row 104"], id="step-at-boundary"),
+        # (305 - 40) % 7 = 6: no window reads the last six rows
+        pytest.param(
+            "nan-after-last-window", ["--set", "stride=7"], ["'z1'", "data row 305"],
+            id="nan-after-last-window",
+        ),
+    ],
+)
+def test_estimate_checks_every_block(tmp_path, capsys, monkeypatch, fault, flags, named):
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 64)  # N = 20: the first read is 103 rows
+    t = (np.arange(305) + 1) * 1e-3
+    z = np.column_stack([np.sin(t), np.cos(t), t])
+    if fault == "nan-late":
+        z[249, 2] = np.nan
+    elif fault == "step-at-boundary":
+        t[103:] += 0.5e-3
+    else:
+        z[304, 0] = np.nan
+    path = tmp_path / "bad.csv"
+    rows = [",".join(repr(v) for v in row) for row in np.column_stack([t, z]).tolist()]
+    path.write_text("t,z1,z2,z3\n" + "\n".join(rows) + "\n")
+    rc, out, err = run_cli(
+        capsys, "estimate", "--mode", "continuous", "--set", "N=20", "--set", "p=4",
+        *flags, "--input", str(path),
+    )
+    assert rc == 1 and out == ""
+    error = parse_json(err)["error"]
+    assert error["type"] == "CliError"
+    for part in named:
+        assert part in error["message"], error
+
+
+def _estimate_peak(capsys, path: Path) -> int:
+    tracemalloc.start()
+    try:
+        rc, _, err = run_cli(
+            capsys, "estimate", "--mode", "continuous", "--set", "N=20", "--set", "p=4",
+            "--input", str(path),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, err
+    return peak
+
+
+def test_estimate_memory_does_not_grow_with_the_record(tmp_path, capsys):
+    # the whole-file reader held every parsed row: 4 times the peak at 4 times the rows
+    paths = {}
+    for n in (50_000, 200_000):
+        paths[n] = tmp_path / f"{n}.csv"
+        paths[n].write_text("t,z1,z2,z3\n" + "\n".join(_measurement_rows(n)) + "\n")
+    _estimate_peak(capsys, paths[50_000])  # first-call allocations
+    short, long = (_estimate_peak(capsys, paths[n]) for n in (50_000, 200_000))
+    assert long <= 1.25 * short, (short, long)
 
 
 def test_benchmark_manifest_and_overrides(tmp_path, capsys):
