@@ -190,8 +190,10 @@ def _read_measurements(fh, usecols: list[int], rows: int) -> np.ndarray:
 class _CsvRecord:
     """A measurement CSV as a record for assemble_design, parsed block by block.
 
-    len() counts the data rows; each pass that open() starts parses the rows
-    as the design reads them, so a pass holds one block, not the file. Every
+    shape[0] counts the data rows; each pass that open() starts parses the
+    rows as the design reads them, so a pass holds one block, not the file,
+    and hands the parsed block to the walk, which copies it into its
+    buffer. Every
     block is checked: values finite, and each time step, the one from the
     block before included, equal to the first step to a relative 1e-9. The
     first `head` rows are parsed and checked here, so the faults of a file
@@ -221,8 +223,9 @@ class _CsvRecord:
         self.t0, self.h = float(first[0, 0]), float(first[1, 0] - first[0, 0])
         self._check(first, 0, None)
 
-    def __len__(self) -> int:
-        return self.n
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, len(self.columns) - 1
 
     def open(self):
         """Start a pass; it closes the file at the last row or at a fault."""
@@ -230,7 +233,7 @@ class _CsvRecord:
         fh.readline()
         before = None  # the time of the row before the next read
 
-        def read(a: int, b: int) -> np.ndarray:
+        def read(a: int, b: int, out=None) -> np.ndarray:
             nonlocal before
             try:
                 block = self._parse(fh, a, b - a)
@@ -296,7 +299,7 @@ def _cmd_estimate(args) -> dict:
     keep_block_memory()
     record = _CsvRecord(args.input, head=2 * cfg.N)
     # the file is authoritative for sample count and step
-    cfg = replace(cfg, n=len(record), h=record.h)
+    cfg = replace(cfg, n=record.n, h=record.h)
     bank = build_split_bank(cfg.mode, cfg.N, cfg.h, cfg.p)
     result = asdict(estimate_series(record, cfg, bank, t0=record.t0))
     for name in ("iv", "ls"):

@@ -182,7 +182,9 @@ def rho_truncate(x: np.ndarray, mu: float) -> np.ndarray:
         raise ValueError(f"mu must be positive, got {mu}")
     x = np.asarray(x, dtype=float)
     norms = np.sqrt(np.einsum("...i,...i->...", x, x))
-    return x / (1.0 + norms / mu)[..., None]
+    norms /= mu
+    norms += 1.0
+    return x / norms[..., None]
 
 
 def _next_fast_len(target: int) -> int:
@@ -209,9 +211,10 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     With the even subsequence E[j] = m[2j] and the odd one O[j] = m[2j + 1],
     even offsets w = 2a read hat from O[a + k] and tilde from E[a + k]; odd
     offsets w = 2a + 1 read hat from E[a + 1 + k] and tilde from O[a + k].
-    E and O (one sample shorter when n is odd, then padded with a zero) are
-    stacked as a (2, d, ceil(n/2)) array: one real FFT transforms both, and
-    one inverse FFT of the product with the stencil spectra correlates each
+    E and O are stacked as a (2, d, nfft) array, zero after their
+    ceil(n/2) samples (O one sample shorter when n is odd), so the real FFT
+    of both reads it at the transform length without a padded copy. One
+    inverse FFT of the product with the stencil spectra correlates each
     line with all three stencils. Every line is transformed on its own, so
     an output never mixes rounding from the other parity class.
 
@@ -223,12 +226,12 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     n_even, n_odd = (windows + 1) // 2, windows // 2
     half = (n + 1) // 2
     nfft, spectra = bank.stencil_spectra(half)
-    classes = np.zeros((2, measurements.shape[1], half))
-    classes[0] = measurements[0::2].T
+    classes = np.zeros((2, measurements.shape[1], nfft))
+    classes[0, :, :half] = measurements[0::2].T
     classes[1, :, : n // 2] = measurements[1::2].T
     # circular correlation; entries a <= len(class) - N never wrap
     spectra = spectra[:, None, None, :]
-    even, odd = np.fft.irfft(np.fft.rfft(classes, nfft) * spectra, nfft).transpose(1, 0, 2, 3)
+    even, odd = np.fft.irfft(np.fft.rfft(classes) * spectra, nfft).transpose(1, 0, 2, 3)
     out = np.empty((3, measurements.shape[1], windows))
     out[:2, :, 0::2] = odd[:2, :, :n_even]
     out[:2, :, 1::2] = even[:2, :, 1 : n_odd + 1]
@@ -237,11 +240,30 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     return out.transpose(0, 2, 1)
 
 
-def _open(measurements) -> Callable[[int, int], object]:
-    """Start a forward pass over an array or a record (see assemble_design)."""
+def _open(measurements) -> Callable[..., np.ndarray]:
+    """Start a forward pass over an (n, d) array or a record (see assemble_design)."""
     if hasattr(measurements, "open"):
         return measurements.open()
-    return lambda a, b: measurements[a:b]
+    return lambda a, b, out: measurements[a:b]
+
+
+def _fill(read: Callable[..., np.ndarray], a: int, b: int, out: np.ndarray) -> None:
+    """Rows a to b - 1 of a pass in out: read fills it, or the walk copies what read returns."""
+    rows = read(a, b, out)
+    if rows is not out:
+        out[...] = rows
+
+
+def window_times(
+    bank: SplitFilterBank, w0: int, w1: int, stride: int = 1, t0: float | None = None
+) -> np.ndarray:
+    """Regression times t0 + (w + N - 1/2) * h of the windows at w = w0, w0 + stride, ... < w1.
+
+    t0, the time of row 0, is h when None (the simulator's grid).
+    """
+    N, h = bank.base_window, bank.base_step
+    t0 = h if t0 is None else t0
+    return (np.arange(w0, w1, stride) + N - 0.5) * h + t0
 
 
 def assemble_design(
@@ -251,15 +273,19 @@ def assemble_design(
     mu: float,
     stride: int = 1,
     t0: float | None = None,
+    time_column: np.ndarray | None = None,
 ) -> DesignMatrices:
     """Slide the split windows over a measurement series and sum the moments.
 
     `measurements` is an (n, d) or (n,) array, or a record: an object with
-    len() whose open() starts a pass and returns read(a, b), rows a to b - 1.
-    A pass reads consecutive row ranges from row 0 to row n and never goes
-    back, so a record may draw or parse rows as they are read, and check
-    every row, also those after the last window. Sample i (0-based row) sits at
-    time t0 + i * h, with t0 = h when not given (the simulator's grid).
+    shape (n, d) whose open() starts a pass and returns read(a, b, out), the
+    rows a to b - 1. A pass reads consecutive row ranges from row 0 to row n
+    and never goes back, so a record may draw or parse rows as they are
+    read, and check every row, also those after the last window. out is a
+    C-contiguous (b - a, d) float array; read may fill it and return it, or
+    return the rows as any other array, which the walk copies into out (an
+    array input's rows are copied so). Sample i (0-based row) sits at time
+    t0 + i * h, with t0 = h when not given (the simulator's grid).
     Windows span 2N raw samples (N per parity class) and start at offsets
     0, stride, 2*stride, ... as long as they fit; trailing samples that do
     not fill a window are dropped. For the window at offset w the regression
@@ -272,69 +298,96 @@ def assemble_design(
 
     The offsets are walked in blocks of about _BLOCK_WINDOWS, each starting
     at a multiple of stride, and each block's moments are added in order.
-    The walk keeps the rows a block shares with the next one, and reads and
-    drops the rows that a stride wider than 2N leaves between blocks.
-    feature_map must broadcast over a leading axis: given a (b,) time vector
-    and (2, b, d_y) states it returns (2, b, d_phi) features. It is called
-    once per block, on the hat and the tilde states together.
+    A pass holds one buffer of block + 2N - 1 rows: each block moves the
+    rows it shares with the block before to the front and has read fill the
+    rest. The rows that a stride wider than 2N leaves between blocks, and
+    those after the last window, are read into it and dropped.
+    feature_map must broadcast over a leading axis: given a (b,) vector and
+    (2, b, d_y) states it returns (2, b, d_phi) features. The vector holds
+    the block's regression times, or, with time_column, the block's entries
+    of it: one value per window offset 0 .. n - 2N, some function of that
+    window's regression time that the caller computed once. feature_map is
+    called once per block, on the hat and the tilde states together.
 
-    The design's X, Y, Z and times, when read, are rebuilt in one block from
-    a second pass, which must give the same rows as the first.
+    A one-block design keeps its X, Y and Z; a longer one rebuilds them in
+    one block from a second pass when they are read, which must give the
+    same rows as the first. Their times follow from the geometry (see
+    window_times).
 
     Raises:
         EmptyDesignError: fewer samples than one window.
     """
-    n = len(measurements)
-    N, h = bank.base_window, bank.base_step
+    record = hasattr(measurements, "open")
+    if not record:
+        measurements = np.asarray(measurements)
+    n = measurements.shape[0]
+    N = bank.base_window
     span = 2 * N
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if n < span:
         raise EmptyDesignError(f"need at least {span} samples for one window, got {n}")
-    t0 = h if t0 is None else t0
+    windows = n - span + 1
+    if time_column is not None and len(time_column) != windows:
+        raise ValueError(f"time_column has {len(time_column)} entries for {windows} windows")
+    if not record:
+        measurements = measurements.reshape(n, -1)
+    d = measurements.shape[1]
 
     def end(w0: int, w1: int) -> int:
         """One past the last row read by the windows at offsets w0, w0 + stride, ... < w1."""
         return w1 - 1 - (w1 - 1 - w0) % stride + span
 
     def rows(samples: np.ndarray, w0: int, w1: int) -> tuple:
-        """X, Y, Z and times of the windows at w0, w0 + stride, ... < w1 from rows w0 to end."""
-        samples = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+        """X, Y and Z of the windows at w0, w0 + stride, ... < w1 from rows w0 to end."""
         filtered = _parity_filtered(samples, bank)[:, ::stride]
-        times = (np.arange(w0, w1, stride) + N - 0.5) * h + t0
-        features = np.asarray(feature_map(times, filtered[1:]), dtype=float)
-        if features.ndim != 3 or features.shape[:2] != (2, times.shape[0]):
+        if time_column is None:
+            column = window_times(bank, w0, w1, stride, t0)
+        else:
+            column = time_column[w0:w1:stride]
+        features = np.asarray(feature_map(column, filtered[1:]), dtype=float)
+        if features.ndim != 3 or features.shape[:2] != (2, column.shape[0]):
             raise ValueError(
                 f"feature_map returned shape {features.shape}, "
-                f"expected (2, {times.shape[0]}, d_phi)"
+                f"expected (2, {column.shape[0]}, d_phi)"
             )
         X, Z_raw = features
-        return X, filtered[0], rho_truncate(Z_raw, mu), times
+        return X, filtered[0], rho_truncate(Z_raw, mu)
 
-    windows = n - span + 1
     block = max(stride, _BLOCK_WINDOWS - _BLOCK_WINDOWS % stride)
-    read, pos, design = _open(measurements), 0, None  # pos: rows read so far
+    buf = np.empty((min(block + span - 1, n), d))
+    read, design = _open(measurements), None
+    pos = first = 0  # rows read so far; the row buf[0] holds
     for w0 in range(0, windows, block):
         w1 = min(w0 + block, windows)
         stop = end(w0, w1)
         if pos < w0:
-            read(pos, w0)  # rows no window reads
-        samples = read(w0, stop) if pos <= w0 else np.concatenate([kept, read(pos, stop)])
-        pos, kept = stop, samples[block:]  # kept: the rows from the next w0 on
-        X, Y, Z, times = rows(samples, w0, w1)
-        if design is None:
-            design = DesignMatrices(X, Y, Z, times, window_span=span)
+            _fill(read, pos, w0, buf[: w0 - pos])  # rows no window reads
         else:
-            design._add_block(X, Y, Z)
+            buf[: pos - w0] = buf[w0 - first : pos - first]  # rows the last block read
+        a = max(pos, w0)
+        _fill(read, a, stop, buf[a - w0 : stop - w0])
+        pos, first = stop, w0
+        # nothing holds a block's rows past its moments unless it is the only block
+        if design is None:
+            design = DesignMatrices(*rows(buf[: stop - w0], w0, w1), None, window_span=span)
+            if w1 < windows:
+                design._rows = None
+        else:
+            design._add_block(*rows(buf[: stop - w0], w0, w1))
     if pos < n:
-        read(pos, n)  # rows after the last window
+        _fill(read, pos, n, buf[: n - pos])  # rows after the last window
+    kept, design._rows = design._rows, None  # a one-block design's rows
 
     def rebuild() -> tuple:
-        read, stop = _open(measurements), end(0, windows)
-        samples = read(0, stop)
+        times = window_times(bank, 0, windows, stride, t0)
+        if kept is not None:
+            return (*kept[:3], times)
+        read, stop, samples = _open(measurements), end(0, windows), np.empty((n, d))
+        _fill(read, 0, stop, samples[:stop])
         if stop < n:
-            read(stop, n)
-        return rows(samples, 0, windows)
+            _fill(read, stop, n, samples[stop:])
+        return (*rows(samples[:stop], 0, windows), times)
 
     design._rebuild = rebuild
     return design

@@ -472,21 +472,27 @@ def test_strided_rows_are_every_sth_unit_stride_row(mode, n, stride, block, seed
 
 
 class _RecordingRecord:
-    """A record over an array that logs the (a, b) reads of each pass."""
+    """A record over an array that logs the (a, b) reads of each pass.
 
-    def __init__(self, values: np.ndarray):
-        self.values, self.passes = values, []
+    Its reads return views of the array (which the walk copies), fill the
+    walk's buffer ("fill", as a trial's NoisyRecord does), or return fresh
+    arrays ("fresh").
+    """
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def __init__(self, values: np.ndarray, mode: str = "view"):
+        self.values, self.mode, self.passes = values, mode, []
+        self.shape = values.shape
 
     def open(self):
         reads = []
         self.passes.append(reads)
 
-        def read(a, b):
+        def read(a, b, out):
             reads.append((a, b))
-            return self.values[a:b]
+            if self.mode == "fill":
+                out[...] = self.values[a:b]
+                return out
+            return self.values[a:b].copy() if self.mode == "fresh" else self.values[a:b]
 
         return read
 
@@ -504,16 +510,32 @@ def test_design_reads_each_pass_forward_from_row_zero(monkeypatch, stride):
     # the rebuild: the windows' rows in one read, then the rows after them
     rebuild = record.passes[1]
     assert len(record.passes) == 2 and len(rebuild) == 1 + (rebuild[0][1] < len(y))
+    # rows that no window reads: between blocks at stride 21, after the last window
+    offsets = np.arange(0, len(y) - 20 + 1, stride)
+    unread = np.ones(len(y), bool)
+    for w in offsets:
+        unread[w : w + 20] = False
+    assert unread[: offsets[-1]].any() == (stride == 21)
     for reads in record.passes:
         starts = [a for a, _ in reads]
         ends = [b for _, b in reads]
         assert starts == [0, *ends[:-1]], reads
         assert all(a < b for a, b in reads), reads
         assert ends[-1] == len(y), reads
+        times_read = np.zeros(len(y), int)
+        for a, b in reads:
+            times_read[a:b] += 1
+        assert np.all(times_read[unread] == 1), reads
     whole = assemble_design(y, bank, lorenz_features, mu=50.0, stride=stride)
     assert design.n_windows == whole.n_windows
+    # an array, a record that fills the walk's buffer and one that returns fresh arrays
+    others = [
+        assemble_design(_RecordingRecord(y, mode), bank, lorenz_features, mu=50.0, stride=stride)
+        for mode in ("fill", "fresh")
+    ]
     for name in ("xx", "xy", "zx", "zy"):
-        assert np.array_equal(getattr(design, name), getattr(whole, name)), name
+        for other in (whole, *others):
+            assert np.array_equal(getattr(design, name), getattr(other, name)), name
     for name, got in rows.items():
         assert np.array_equal(got, getattr(whole, name)), name
 
