@@ -105,7 +105,8 @@ def _cmd_simulate(args) -> dict:
     columns = [traj.times, *traj.states.T]
     if cfg.eta > 0:
         # trial 0's record, as the benchmark's first trial measures it
-        noisy = trial_record(cfg, 0, traj.states).open()(0, cfg.n)
+        noisy = np.empty_like(traj.states)
+        trial_record(cfg, 0, traj.states).open()(0, cfg.n, noisy)
         header += ["z1", "z2", "z3"]
         columns += [*noisy.T]
     out = Path(args.out)
@@ -192,9 +193,8 @@ class _CsvRecord:
 
     shape[0] counts the data rows; each pass that open() starts parses the
     rows as the design reads them, so a pass holds one block, not the file,
-    and hands the parsed block to the walk, which copies it into its
-    buffer. Every
-    block is checked: values finite, and each time step, the one from the
+    and copies the parsed block into the walk's buffer. Every block is
+    checked: values finite, and each time step, the one from the
     block before included, equal to the first step to a relative 1e-9. The
     first `head` rows are parsed and checked here, so the faults of a file
     shorter than one window are reported before its length.
@@ -233,7 +233,7 @@ class _CsvRecord:
         fh.readline()
         before = None  # the time of the row before the next read
 
-        def read(a: int, b: int, out=None) -> np.ndarray:
+        def read(a: int, b: int, out: np.ndarray) -> None:
             nonlocal before
             try:
                 block = self._parse(fh, a, b - a)
@@ -244,7 +244,7 @@ class _CsvRecord:
             if b == self.n:
                 fh.close()
             before = block[-1, 0]
-            return block[:, 1:]
+            out[...] = block[:, 1:]
 
         return read
 

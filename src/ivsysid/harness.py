@@ -137,7 +137,7 @@ class SharedArtifacts:
     """Per-experiment state reused across every trial.
 
     drive is the forcing at the regression time of every window offset of a
-    trial's record, read-only; trials compute it block by block when None.
+    trial's record, read-only (see trial_drive).
     """
 
     trajectory: Trajectory
@@ -146,15 +146,11 @@ class SharedArtifacts:
     reference_kind: str
     p_requested: int
     p_used: int
-    drive: np.ndarray | None = None
+    drive: np.ndarray
 
 
 def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
     """Integrate the trajectory, build the bank, resolve the reference and the drive.
-
-    The drive is the same in every trial: the forcing at each window
-    offset's regression time, one value per offset whatever the stride (a
-    trial reads every stride-th), 0.8 MB at n = 1e5.
 
     If the configured exactness degree cannot be built on the split window
     (rank or conditioning failure), fall back to FALLBACK_P with a warning.
@@ -184,8 +180,6 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
     else:
         reference = pseudo_true_discrete(config, trajectory, bank)
         kind = "pseudo_true"
-    drive = forcing(window_times(bank, 0, config.n - 2 * config.N + 1), config.forcing_freq)
-    drive.flags.writeable = False
     return SharedArtifacts(
         trajectory=trajectory,
         bank=bank,
@@ -193,8 +187,19 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         reference_kind=kind,
         p_requested=config.p,
         p_used=p_used,
-        drive=drive,
+        drive=trial_drive(config, bank),
     )
+
+
+def trial_drive(config: ExperimentConfig, bank: SplitFilterBank) -> np.ndarray:
+    """The forcing at each window offset's regression time, read-only.
+
+    It is the same in every trial: one value per offset whatever the
+    stride (a trial reads every stride-th), 0.8 MB at n = 1e5.
+    """
+    drive = forcing(window_times(bank, 0, config.n - 2 * config.N + 1), config.forcing_freq)
+    drive.flags.writeable = False
+    return drive
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -256,8 +261,8 @@ class NoisyRecord:
 
     Each pass, started by open(), draws on a fresh generator from seed, so
     consecutive reads from row 0 give the bits of one add_noise draw of the
-    whole record, and passes share no state. A read given out draws the
-    rows straight into it (the walk's block buffer).
+    whole record, and passes share no state. read(a, b, out) draws the
+    rows straight into out (the walk's block buffer).
     """
 
     states: np.ndarray
@@ -270,7 +275,7 @@ class NoisyRecord:
 
     def open(self):
         rng = np.random.default_rng(self.seed)
-        return lambda a, b, out=None: add_noise(self.states[a:b], self.eta, rng, out)
+        return lambda a, b, out: add_noise(self.states[a:b], self.eta, rng, out)
 
 
 def trial_record(config: ExperimentConfig, trial_index: int, states: np.ndarray) -> NoisyRecord:

@@ -240,18 +240,11 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     return out.transpose(0, 2, 1)
 
 
-def _open(measurements) -> Callable[..., np.ndarray]:
+def _open(measurements) -> Callable[[int, int, np.ndarray], object]:
     """Start a forward pass over an (n, d) array or a record (see assemble_design)."""
     if hasattr(measurements, "open"):
         return measurements.open()
-    return lambda a, b, out: measurements[a:b]
-
-
-def _fill(read: Callable[..., np.ndarray], a: int, b: int, out: np.ndarray) -> None:
-    """Rows a to b - 1 of a pass in out: read fills it, or the walk copies what read returns."""
-    rows = read(a, b, out)
-    if rows is not out:
-        out[...] = rows
+    return lambda a, b, out: np.copyto(out, measurements[a:b])
 
 
 def window_times(
@@ -278,13 +271,12 @@ def assemble_design(
     """Slide the split windows over a measurement series and sum the moments.
 
     `measurements` is an (n, d) or (n,) array, or a record: an object with
-    shape (n, d) whose open() starts a pass and returns read(a, b, out), the
-    rows a to b - 1. A pass reads consecutive row ranges from row 0 to row n
-    and never goes back, so a record may draw or parse rows as they are
-    read, and check every row, also those after the last window. out is a
-    C-contiguous (b - a, d) float array; read may fill it and return it, or
-    return the rows as any other array, which the walk copies into out (an
-    array input's rows are copied so). Sample i (0-based row) sits at time
+    shape (n, d) whose open() starts a pass and returns read(a, b, out),
+    which fills out, a C-contiguous (b - a, d) float array, with the rows a
+    to b - 1 (an array input's rows are copied in). A pass reads consecutive
+    row ranges from row 0 to row n and never goes back, so a record may draw
+    or parse rows as they are read, and check every row, also those after
+    the last window. Sample i (0-based row) sits at time
     t0 + i * h, with t0 = h when not given (the simulator's grid).
     Windows span 2N raw samples (N per parity class) and start at offsets
     0, stride, 2*stride, ... as long as they fit; trailing samples that do
@@ -362,11 +354,11 @@ def assemble_design(
         w1 = min(w0 + block, windows)
         stop = end(w0, w1)
         if pos < w0:
-            _fill(read, pos, w0, buf[: w0 - pos])  # rows no window reads
+            read(pos, w0, buf[: w0 - pos])  # rows no window reads
         else:
             buf[: pos - w0] = buf[w0 - first : pos - first]  # rows the last block read
         a = max(pos, w0)
-        _fill(read, a, stop, buf[a - w0 : stop - w0])
+        read(a, stop, buf[a - w0 : stop - w0])
         pos, first = stop, w0
         # nothing holds a block's rows past its moments unless it is the only block
         if design is None:
@@ -376,7 +368,7 @@ def assemble_design(
         else:
             design._add_block(*rows(buf[: stop - w0], w0, w1))
     if pos < n:
-        _fill(read, pos, n, buf[: n - pos])  # rows after the last window
+        read(pos, n, buf[: n - pos])  # rows after the last window
     kept, design._rows = design._rows, None  # a one-block design's rows
 
     def rebuild() -> tuple:
@@ -384,9 +376,9 @@ def assemble_design(
         if kept is not None:
             return (*kept[:3], times)
         read, stop, samples = _open(measurements), end(0, windows), np.empty((n, d))
-        _fill(read, 0, stop, samples[:stop])
+        read(0, stop, samples[:stop])
         if stop < n:
-            _fill(read, stop, n, samples[stop:])
+            read(stop, n, samples[stop:])
         return (*rows(samples[:stop], 0, windows), times)
 
     design._rebuild = rebuild

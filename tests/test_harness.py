@@ -36,6 +36,7 @@ from ivsysid.harness import (
     run_trial,
     summarize,
     summary_dict,
+    trial_drive,
     trial_seed,
     write_csv,
     write_kde_csv,
@@ -430,34 +431,20 @@ def test_streamed_trial_equals_whole_record(small_shared, monkeypatch, block, st
     seed=st.integers(0, 2**64 - 1),
 )
 def test_noisy_record_passes_equal_one_whole_record_draw(small_shared, sizes, seed):
-    # any split of a pass into consecutive reads from row 0, and a second
+    # any split of a pass into consecutive reads from row 0, each drawn into
+    # the front of one reused buffer as the walk's reads are, and a second
     # pass read in one piece, give the rows of one whole-record draw
-    states = small_shared.trajectory.states[:150]
-    bounds = np.minimum(np.cumsum([0, *sizes]), len(states))
-    whole = add_noise(states, 0.3, np.random.default_rng(seed))
-    record = NoisyRecord(states, 0.3, seed)
-    assert record.shape == (150, 3)
-    read = record.open()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        assert np.array_equal(read(a, b), whole[a:b])
-    assert np.array_equal(record.open()(0, 150), whole)
-
-
-@given(
-    sizes=st.lists(st.integers(0, 60), max_size=8),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_noisy_record_draws_into_out_like_one_whole_record_draw(small_shared, sizes, seed):
-    # the walk's reads: each split drawn into a buffer the record fills and returns
     states = small_shared.trajectory.states[:150]
     bounds = np.minimum(np.cumsum([0, *sizes, 150]), len(states))
     whole = add_noise(states, 0.3, np.random.default_rng(seed))
-    read = NoisyRecord(states, 0.3, seed).open()
-    buf = np.full((150, 3), np.nan)
+    record = NoisyRecord(states, 0.3, seed)
+    assert record.shape == (150, 3)
+    read, buf = record.open(), np.full((150, 3), np.nan)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        out = buf[: b - a]
-        assert read(a, b, out) is out
-        assert np.array_equal(out, whole[a:b])
+        read(a, b, buf[: b - a])
+        assert np.array_equal(buf[: b - a], whole[a:b])
+    record.open()(0, 150, buf)
+    assert np.array_equal(buf, whole)
 
 
 def test_trial_memory_does_not_grow_with_n():
@@ -469,8 +456,11 @@ def test_trial_memory_does_not_grow_with_n():
         [10 * np.sin(2.1 * times), 12 * np.cos(1.3 * times), 25 + 8 * np.sin(0.7 * times)]
     )
     bank = build_split_bank("discrete", 100, h, 75)
-    shared = SharedArtifacts(Trajectory(times, states), bank, true_theta(), "pseudo_true", 75, 75)
     config = ExperimentConfig(mode="discrete", n=n, trials=1)
+    drive = trial_drive(config, bank)
+    shared = SharedArtifacts(
+        Trajectory(times, states), bank, true_theta(), "pseudo_true", 75, 75, drive
+    )
     run_trial(config, 0, shared)  # fills the bank's spectra cache
     tracemalloc.start()
     try:
@@ -508,10 +498,11 @@ def test_array_estimate_holds_one_block():
 
 FAULT_PROBE = """
 import resource, sys
+from dataclasses import replace
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from ivsysid.dynamics import Trajectory, true_theta
-from ivsysid.harness import ExperimentConfig, SharedArtifacts, run_monte_carlo
+from ivsysid.harness import ExperimentConfig, SharedArtifacts, run_monte_carlo, trial_drive
 from ivsysid.splitfilters import build_split_bank
 
 n, workers, trials = (int(v) for v in sys.argv[2:])
@@ -519,10 +510,12 @@ h = 1e-3
 times = np.arange(1, n + 1) * h
 states = np.column_stack([10 * np.sin(2.1 * times), 12 * np.cos(1.3 * times), 25 + times])
 bank = build_split_bank("discrete", 100, h, 75)
-shared = SharedArtifacts(Trajectory(times, states), bank, true_theta(), "pseudo_true", 75, 75)
-run_monte_carlo(ExperimentConfig(mode="discrete", n=n, trials=4), shared, workers)
+config = ExperimentConfig(mode="discrete", n=n, trials=trials)
+drive = trial_drive(config, bank)
+shared = SharedArtifacts(Trajectory(times, states), bank, true_theta(), "pseudo_true", 75, 75, drive)
+run_monte_carlo(replace(config, trials=4), shared, workers)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run_monte_carlo(ExperimentConfig(mode="discrete", n=n, trials=trials), shared, workers)
+run_monte_carlo(config, shared, workers)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / trials)
 """
 

@@ -474,13 +474,11 @@ def test_strided_rows_are_every_sth_unit_stride_row(mode, n, stride, block, seed
 class _RecordingRecord:
     """A record over an array that logs the (a, b) reads of each pass.
 
-    Its reads return views of the array (which the walk copies), fill the
-    walk's buffer ("fill", as a trial's NoisyRecord does), or return fresh
-    arrays ("fresh").
+    Its reads fill the walk's buffer, as a trial's NoisyRecord does.
     """
 
-    def __init__(self, values: np.ndarray, mode: str = "view"):
-        self.values, self.mode, self.passes = values, mode, []
+    def __init__(self, values: np.ndarray):
+        self.values, self.passes = values, []
         self.shape = values.shape
 
     def open(self):
@@ -489,10 +487,7 @@ class _RecordingRecord:
 
         def read(a, b, out):
             reads.append((a, b))
-            if self.mode == "fill":
-                out[...] = self.values[a:b]
-                return out
-            return self.values[a:b].copy() if self.mode == "fresh" else self.values[a:b]
+            out[...] = self.values[a:b]
 
         return read
 
@@ -528,14 +523,8 @@ def test_design_reads_each_pass_forward_from_row_zero(monkeypatch, stride):
         assert np.all(times_read[unread] == 1), reads
     whole = assemble_design(y, bank, lorenz_features, mu=50.0, stride=stride)
     assert design.n_windows == whole.n_windows
-    # an array, a record that fills the walk's buffer and one that returns fresh arrays
-    others = [
-        assemble_design(_RecordingRecord(y, mode), bank, lorenz_features, mu=50.0, stride=stride)
-        for mode in ("fill", "fresh")
-    ]
     for name in ("xx", "xy", "zx", "zy"):
-        for other in (whole, *others):
-            assert np.array_equal(getattr(design, name), getattr(other, name)), name
+        assert np.array_equal(getattr(design, name), getattr(whole, name)), name
     for name, got in rows.items():
         assert np.array_equal(got, getattr(whole, name)), name
 
