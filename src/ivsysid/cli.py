@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import json
+import re
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -74,7 +75,10 @@ def _resolve_config(args) -> ExperimentConfig:
         raise CliError("pass either --config or --mode, not both")
     if args.config:
         with Path(args.config).open() as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"{args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise CliError(f"{args.config} must hold a JSON object of config fields")
     elif args.mode:
@@ -205,7 +209,7 @@ class _CsvRecord:
         # utf-8-sig drops a leading byte-order mark; header names may be padded
         with open(path, newline="", encoding="utf-8-sig") as fh:
             header = fh.readline()
-            fields = [name.strip() for name in header.split(",")]
+            self.fields = fields = [name.strip() for name in header.split(",")]
             if "t" not in fields:
                 raise CliError(f"{path} has no 't' column (found {fields})")
             if all(c in fields for c in ("z1", "z2", "z3")):
@@ -252,8 +256,16 @@ class _CsvRecord:
         try:
             block = _read_measurements(fh, self.usecols, rows)
         except ValueError as exc:
+            # np.loadtxt counts the rows of this call from 0 and the file's columns from 1
+            place = re.search(r" at row (\d+), column (\d+)\.$", str(exc))
+            if place is None:
+                raise CliError(
+                    f"{self.path}: {exc} (in data rows {first + 1} to {first + rows})"
+                ) from exc
+            row, col = (int(v) for v in place.groups())
             raise CliError(
-                f"{self.path}: {exc} (in data rows {first + 1} to {first + rows})"
+                f"{self.path}: {str(exc)[: place.start()]} in column "
+                f"{self.fields[col - 1]!r} at data row {first + row + 1}"
             ) from exc
         if len(block) != rows:
             raise CliError(f"{self.path}: expected {self.n} data rows, read {first + len(block)}")

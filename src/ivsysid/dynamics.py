@@ -55,19 +55,18 @@ def forcing(t, f: float = 1.0) -> np.ndarray:
     return np.sin(2.0 * np.pi * f * np.asarray(t, dtype=float))
 
 
-def feature_map(t, state, f: float = 1.0, drive=None) -> np.ndarray:
-    """Feature vector (sin(2*pi*f*t), x1, x2, x3, x1*x2, x1*x3).
+def feature_map(drive, state) -> np.ndarray:
+    """Feature vector (drive, x1, x2, x3, x1*x2, x1*x3), the drive forcing(t, f) at the state's t.
 
-    Broadcasts: t may be a scalar or (n,) vector with state (3,), (n, 3) or
-    any (..., n, 3) stack; output replaces the state's trailing axis with
+    Broadcasts: drive may be a scalar or (n,) vector with state (3,), (n, 3)
+    or any (..., n, 3) stack; output replaces the state's trailing axis with
     one of length 6. The features are written into one array along its
     first axis and the result is a view with them moved last, so each
-    feature is contiguous. A caller that holds forcing(t, f) already passes
-    it as drive, and t and f are not read.
+    feature is contiguous.
     """
     state = np.asarray(state, dtype=float)
     out = np.empty((6,) + state.shape[:-1])
-    out[0] = forcing(t, f) if drive is None else drive
+    out[0] = drive
     out[1:4] = np.moveaxis(state, -1, 0)
     np.multiply(out[1:2], out[2:4], out=out[4:6])  # x1*x2, x1*x3
     return np.moveaxis(out, 0, -1)
@@ -154,19 +153,18 @@ def integrate(
 
 
 def add_noise(
-    states: np.ndarray, eta: float, rng: np.random.Generator, out: np.ndarray | None = None
+    states: np.ndarray, eta: float, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
-    """Noise-corrupted states z_i = x(t_i) + N(0, eta * I), one draw per entry of `states`.
+    """Noise-corrupted states z_i = x(t_i) + N(0, eta * I), drawn into out and returned.
 
-    The generator's stream does not depend on how it is split, so calls on
-    consecutive blocks of rows give the bits of one call on all of them.
-    With out, a C-contiguous float array of the states' shape, the values
-    are drawn into it and it is returned.
+    out is a C-contiguous float array of the states' shape. The generator's
+    stream does not depend on how it is split, so calls on consecutive
+    blocks of rows give the bits of one call on all of them.
     """
     if eta < 0:
         raise ValueError(f"noise variance must be >= 0, got {eta}")
     # the same draws and bits as states + rng.normal(0, sqrt(eta), shape)
-    values = rng.standard_normal(states.shape) if out is None else rng.standard_normal(out=out)
-    values *= math.sqrt(eta)
-    values += states
-    return values
+    rng.standard_normal(out=out)
+    out *= math.sqrt(eta)
+    out += states
+    return out

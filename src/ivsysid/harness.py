@@ -197,7 +197,8 @@ def trial_drive(config: ExperimentConfig, bank: SplitFilterBank) -> np.ndarray:
     It is the same in every trial: one value per offset whatever the
     stride (a trial reads every stride-th), 0.8 MB at n = 1e5.
     """
-    drive = forcing(window_times(bank, 0, config.n - 2 * config.N + 1), config.forcing_freq)
+    windows = slice(0, config.n - 2 * config.N + 1)
+    drive = forcing(window_times(bank, windows), config.forcing_freq)
     drive.flags.writeable = False
     return drive
 
@@ -219,18 +220,21 @@ def estimate_series(
 
     values is an (n, 3) array or a record, such as a trial's NoisyRecord:
     an object with shape (n, 3) whose open() starts a forward pass of reads
-    (see assemble_design). Sample i sits at time t0 + i * h, with t0 = h
-    when None (the simulator's grid). drive, the forcing at every window
-    offset's regression time (SharedArtifacts.drive), spares each block its
-    computation; without it each block computes its own.
+    (see assemble_design). The features of a block of window offsets w
+    read the drive as drive[w] when drive holds one entry per window offset
+    (SharedArtifacts.drive; other lengths raise ValueError), and compute it
+    as forcing(window_times(bank, w, t0)) otherwise: sample i sits at time
+    t0 + i * h, with t0 = h when None (the simulator's grid).
     """
     if drive is None:
-        feats = lambda t, s: feature_map(t, s, config.forcing_freq)  # noqa: E731
+        f = config.forcing_freq
+        feats = lambda w, s: feature_map(forcing(window_times(bank, w, t0), f), s)  # noqa: E731
     else:
-        feats = lambda column, s: feature_map(None, s, drive=column)  # noqa: E731
-    design = assemble_design(
-        values, bank, feats, config.mu, config.stride, t0=t0, time_column=drive
-    )
+        windows = values.shape[0] - 2 * bank.base_window + 1
+        if len(drive) != windows:
+            raise ValueError(f"drive has {len(drive)} entries for {windows} window offsets")
+        feats = lambda w, s: feature_map(drive[w], s)  # noqa: E731
+    design = assemble_design(values, bank, feats, config.mu, config.stride)
     iv = iv_estimate(design, IvConfig(lam=config.lam, mu=config.mu))
     return SeriesEstimate(
         iv=iv,

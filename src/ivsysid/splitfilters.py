@@ -11,6 +11,7 @@ regressors row by row, which is what removes the errors-in-variables bias.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -120,16 +121,17 @@ class DesignMatrices:
     """Moments of the stacked regression data over the placed windows.
 
     Row r comes from one window: X holds features of the hat-filtered state,
-    Y the hat-filtered response, Z the truncated features of the
-    tilde-filtered state, and times its regression time. Rows whose times
-    differ by at least window_span * h were built from windows with no raw
-    samples in common.
+    Y the hat-filtered response and Z the truncated features of the
+    tilde-filtered state. Rows whose windows start at least window_span
+    offsets apart share no raw sample.
 
     The estimators read only the moments X'X, X'Y, Z'X and Z'Y.
     DesignMatrices(X=, Y=, Z=, times=, window_span=) forms them from the
-    given rows. assemble_design forms them block by block and keeps no
-    full-length row; reading X, Y, Z or times then rebuilds all rows once
-    and keeps them.
+    given rows and keeps times, their regression times, as given.
+    assemble_design forms them from one run of its block walk and keeps no
+    row, and its times is None. Reading X, Y or Z runs the design's walk
+    again and keeps the concatenated blocks, the rows whose moments were
+    summed.
     """
 
     def __init__(
@@ -137,38 +139,44 @@ class DesignMatrices:
         X: np.ndarray,  # (n', d_phi)
         Y: np.ndarray,  # (n', d_H)
         Z: np.ndarray,  # (n', d_phi)
-        times: np.ndarray,  # (n',)
+        times: np.ndarray | None,  # (n',)
         window_span: int,
     ):
         if X.shape != Z.shape or X.shape[0] != Y.shape[0]:
             raise ValueError(
                 f"inconsistent design shapes X{X.shape}, Y{Y.shape}, Z{Z.shape}"
             )
-        self.window_span = window_span
-        self.n_windows = X.shape[0]
-        self.xx, self.xy, self.zx, self.zy = X.T @ X, X.T @ Y, Z.T @ X, Z.T @ Y
-        self._rows: tuple | None = (X, Y, Z, times)
-        self._rebuild: Callable[[], tuple] | None = None
+        self._sum(lambda add: add(X, Y, Z), window_span)
+        self.times = times
 
-    def _add_block(self, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> None:
-        """Add the moments of further rows; the kept rows no longer cover them."""
-        self.xx += X.T @ X
-        self.xy += X.T @ Y
-        self.zx += Z.T @ X
-        self.zy += Z.T @ Y
+    @classmethod
+    def _walked(cls, walk: Callable, window_span: int) -> DesignMatrices:
+        """The moments of one run of walk(add), which calls add(X, Y, Z) once per block."""
+        return cls.__new__(cls)._sum(walk, window_span)
+
+    def _sum(self, walk: Callable, window_span: int) -> DesignMatrices:
+        self.window_span, self.times, self.n_windows, self._walk = window_span, None, 0, walk
+        walk(self._add)
+        return self
+
+    def _add(self, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> None:
+        moments = X.T @ X, X.T @ Y, Z.T @ X, Z.T @ Y
+        if self.n_windows:
+            for total, block in zip((self.xx, self.xy, self.zx, self.zy), moments):
+                total += block
+        else:
+            self.xx, self.xy, self.zx, self.zy = moments
         self.n_windows += X.shape[0]
-        self._rows = None
 
-    def _all_rows(self) -> tuple:
-        # concurrent first readers at worst rebuild the same rows twice
-        if self._rows is None:
-            self._rows = self._rebuild()
-        return self._rows
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        blocks = []
+        self._walk(lambda *rows: blocks.append(rows))
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
-    X = property(lambda self: self._all_rows()[0])
-    Y = property(lambda self: self._all_rows()[1])
-    Z = property(lambda self: self._all_rows()[2])
-    times = property(lambda self: self._all_rows()[3])
+    X = property(lambda self: self._rows[0])
+    Y = property(lambda self: self._rows[1])
+    Z = property(lambda self: self._rows[2])
 
 
 def rho_truncate(x: np.ndarray, mu: float) -> np.ndarray:
@@ -240,33 +248,26 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     return out.transpose(0, 2, 1)
 
 
-def _open(measurements) -> Callable[[int, int, np.ndarray], object]:
-    """Start a forward pass over an (n, d) array or a record (see assemble_design)."""
-    if hasattr(measurements, "open"):
-        return measurements.open()
-    return lambda a, b, out: np.copyto(out, measurements[a:b])
-
-
 def window_times(
-    bank: SplitFilterBank, w0: int, w1: int, stride: int = 1, t0: float | None = None
+    bank: SplitFilterBank, windows: slice, t0: float | None = None
 ) -> np.ndarray:
-    """Regression times t0 + (w + N - 1/2) * h of the windows at w = w0, w0 + stride, ... < w1.
+    """Regression times t0 + (w + N - 1/2) * h of the window offsets w in windows.
 
-    t0, the time of row 0, is h when None (the simulator's grid).
+    windows is a slice(w0, w1, stride), as assemble_design hands each
+    block's offsets to its feature map. t0, the time of row 0, is h when
+    None (the simulator's grid).
     """
     N, h = bank.base_window, bank.base_step
     t0 = h if t0 is None else t0
-    return (np.arange(w0, w1, stride) + N - 0.5) * h + t0
+    return (np.arange(windows.start, windows.stop, windows.step) + N - 0.5) * h + t0
 
 
 def assemble_design(
     measurements,
     bank: SplitFilterBank,
-    feature_map: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    feature_map: Callable[[slice, np.ndarray], np.ndarray],
     mu: float,
     stride: int = 1,
-    t0: float | None = None,
-    time_column: np.ndarray | None = None,
 ) -> DesignMatrices:
     """Slide the split windows over a measurement series and sum the moments.
 
@@ -276,16 +277,14 @@ def assemble_design(
     to b - 1 (an array input's rows are copied in). A pass reads consecutive
     row ranges from row 0 to row n and never goes back, so a record may draw
     or parse rows as they are read, and check every row, also those after
-    the last window. Sample i (0-based row) sits at time
-    t0 + i * h, with t0 = h when not given (the simulator's grid).
-    Windows span 2N raw samples (N per parity class) and start at offsets
-    0, stride, 2*stride, ... as long as they fit; trailing samples that do
-    not fill a window are dropped. For the window at offset w the regression
-    time is t = t0 + (w + N - 1/2) * h and
+    the last window. Windows span 2N raw samples (N per parity class) and
+    start at offsets 0, stride, 2*stride, ... as long as they fit; trailing
+    samples that do not fill a window are dropped. For the windows at the
+    offsets w of a block, a slice(w0, w1, stride),
 
-        X row  = feature_map(t, hat_G state estimate)       (later parity)
-        Y row  = hat_H response estimate                    (later parity)
-        Z row  = rho_truncate(feature_map(t, tilde_G state estimate), mu)
+        X rows = feature_map(w, hat_G state estimates)      (later parity)
+        Y rows = hat_H response estimates                   (later parity)
+        Z rows = rho_truncate(feature_map(w, tilde_G state estimates), mu)
                                                             (earlier parity)
 
     The offsets are walked in blocks of about _BLOCK_WINDOWS, each starting
@@ -294,17 +293,14 @@ def assemble_design(
     rows it shares with the block before to the front and has read fill the
     rest. The rows that a stride wider than 2N leaves between blocks, and
     those after the last window, are read into it and dropped.
-    feature_map must broadcast over a leading axis: given a (b,) vector and
-    (2, b, d_y) states it returns (2, b, d_phi) features. The vector holds
-    the block's regression times, or, with time_column, the block's entries
-    of it: one value per window offset 0 .. n - 2N, some function of that
-    window's regression time that the caller computed once. feature_map is
-    called once per block, on the hat and the tilde states together.
+    feature_map must broadcast over a leading axis: given the block's slice
+    of offsets and (2, b, d_y) states it returns (2, b, d_phi) features. It
+    is called once per block, on the hat and the tilde states together.
+    What an offset stands for (a regression time, see window_times, or an
+    entry of a column the caller holds) is the feature map's business.
 
-    A one-block design keeps its X, Y and Z; a longer one rebuilds them in
-    one block from a second pass when they are read, which must give the
-    same rows as the first. Their times follow from the geometry (see
-    window_times).
+    The design keeps the walk: reading its X, Y or Z runs it again, which
+    must read the same rows, and gives the rows whose moments were summed.
 
     Raises:
         EmptyDesignError: fewer samples than one window.
@@ -313,73 +309,49 @@ def assemble_design(
     if not record:
         measurements = np.asarray(measurements)
     n = measurements.shape[0]
-    N = bank.base_window
-    span = 2 * N
+    span = 2 * bank.base_window
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if n < span:
         raise EmptyDesignError(f"need at least {span} samples for one window, got {n}")
     windows = n - span + 1
-    if time_column is not None and len(time_column) != windows:
-        raise ValueError(f"time_column has {len(time_column)} entries for {windows} windows")
     if not record:
         measurements = measurements.reshape(n, -1)
     d = measurements.shape[1]
+    block = max(stride, _BLOCK_WINDOWS - _BLOCK_WINDOWS % stride)
 
-    def end(w0: int, w1: int) -> int:
-        """One past the last row read by the windows at offsets w0, w0 + stride, ... < w1."""
-        return w1 - 1 - (w1 - 1 - w0) % stride + span
-
-    def rows(samples: np.ndarray, w0: int, w1: int) -> tuple:
-        """X, Y and Z of the windows at w0, w0 + stride, ... < w1 from rows w0 to end."""
+    def rows(samples: np.ndarray, w: slice) -> tuple:
+        """X, Y and Z of the windows at the offsets w from the rows w.start onwards."""
         filtered = _parity_filtered(samples, bank)[:, ::stride]
-        if time_column is None:
-            column = window_times(bank, w0, w1, stride, t0)
-        else:
-            column = time_column[w0:w1:stride]
-        features = np.asarray(feature_map(column, filtered[1:]), dtype=float)
-        if features.ndim != 3 or features.shape[:2] != (2, column.shape[0]):
+        count = filtered.shape[1]
+        features = np.asarray(feature_map(w, filtered[1:]), dtype=float)
+        if features.ndim != 3 or features.shape[:2] != (2, count):
             raise ValueError(
-                f"feature_map returned shape {features.shape}, "
-                f"expected (2, {column.shape[0]}, d_phi)"
+                f"feature_map returned shape {features.shape}, expected (2, {count}, d_phi)"
             )
         X, Z_raw = features
         return X, filtered[0], rho_truncate(Z_raw, mu)
 
-    block = max(stride, _BLOCK_WINDOWS - _BLOCK_WINDOWS % stride)
-    buf = np.empty((min(block + span - 1, n), d))
-    read, design = _open(measurements), None
-    pos = first = 0  # rows read so far; the row buf[0] holds
-    for w0 in range(0, windows, block):
-        w1 = min(w0 + block, windows)
-        stop = end(w0, w1)
-        if pos < w0:
-            read(pos, w0, buf[: w0 - pos])  # rows no window reads
-        else:
-            buf[: pos - w0] = buf[w0 - first : pos - first]  # rows the last block read
-        a = max(pos, w0)
-        read(a, stop, buf[a - w0 : stop - w0])
-        pos, first = stop, w0
-        # nothing holds a block's rows past its moments unless it is the only block
-        if design is None:
-            design = DesignMatrices(*rows(buf[: stop - w0], w0, w1), None, window_span=span)
-            if w1 < windows:
-                design._rows = None
-        else:
-            design._add_block(*rows(buf[: stop - w0], w0, w1))
-    if pos < n:
-        read(pos, n, buf[: n - pos])  # rows after the last window
-    kept, design._rows = design._rows, None  # a one-block design's rows
+    def walk(add: Callable) -> None:
+        """One forward pass; add(X, Y, Z) gets each block's rows, in order."""
+        buf = np.empty((min(block + span - 1, n), d))
+        read = measurements.open() if record else (
+            lambda a, b, out: np.copyto(out, measurements[a:b])
+        )
+        pos = first = 0  # rows read so far; the row buf[0] holds
+        for w0 in range(0, windows, block):
+            w1 = min(w0 + block, windows)
+            stop = w1 - 1 - (w1 - 1 - w0) % stride + span  # one past the last row read
+            if pos < w0:
+                read(pos, w0, buf[: w0 - pos])  # rows no window reads
+            else:
+                buf[: pos - w0] = buf[w0 - first : pos - first]  # rows the last block read
+            a = max(pos, w0)
+            read(a, stop, buf[a - w0 : stop - w0])
+            pos, first = stop, w0
+            # nothing here holds a block's rows past add
+            add(*rows(buf[: stop - w0], slice(w0, w1, stride)))
+        if pos < n:
+            read(pos, n, buf[: n - pos])  # rows after the last window
 
-    def rebuild() -> tuple:
-        times = window_times(bank, 0, windows, stride, t0)
-        if kept is not None:
-            return (*kept[:3], times)
-        read, stop, samples = _open(measurements), end(0, windows), np.empty((n, d))
-        read(0, stop, samples[:stop])
-        if stop < n:
-            read(stop, n, samples[stop:])
-        return (*rows(samples[:stop], 0, windows), times)
-
-    design._rebuild = rebuild
-    return design
+    return DesignMatrices._walked(walk, span)

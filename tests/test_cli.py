@@ -334,6 +334,15 @@ def test_streamed_estimate_equals_the_array_estimate(tmp_path, capsys, monkeypat
             "nan-after-last-window", ["--set", "stride=7"], ["'z1'", "data row 305"],
             id="nan-after-last-window",
         ),
+        # a value np.loadtxt cannot parse, named by its global data row and header
+        pytest.param(
+            "text-first-block", [], ["'abc'", "column 'z2' at data row 10"],
+            id="text-first-block",
+        ),
+        pytest.param(
+            "text-third-block", [], ["'abc'", "column 'z3' at data row 200"],
+            id="text-third-block",
+        ),
     ],
 )
 def test_estimate_checks_every_block(tmp_path, capsys, monkeypatch, fault, flags, named):
@@ -344,10 +353,14 @@ def test_estimate_checks_every_block(tmp_path, capsys, monkeypatch, fault, flags
         z[249, 2] = np.nan
     elif fault == "step-at-boundary":
         t[103:] += 0.5e-3
-    else:
+    elif fault == "nan-after-last-window":
         z[304, 0] = np.nan
     path = tmp_path / "bad.csv"
-    rows = [",".join(repr(v) for v in row) for row in np.column_stack([t, z]).tolist()]
+    rows = [[repr(v) for v in row] for row in np.column_stack([t, z]).tolist()]
+    if fault.startswith("text"):
+        row, col = (9, 2) if fault == "text-first-block" else (199, 3)
+        rows[row][col] = "abc"
+    rows = [",".join(row) for row in rows]
     path.write_text("t,z1,z2,z3\n" + "\n".join(rows) + "\n")
     rc, out, err = run_cli(
         capsys, "estimate", "--mode", "continuous", "--set", "N=20", "--set", "p=4",
@@ -598,15 +611,23 @@ def test_set_mode_takes_the_final_modes_eta_default(tmp_path):
 
 @pytest.mark.parametrize(
     "manifest, message",
-    [(["discrete"], "must hold a JSON object"), ({"n": 100}, "config must set 'mode'")],
-    ids=["list", "no-mode"],
+    [
+        (["discrete"], "must hold a JSON object"),
+        ({"n": 100}, "config must set 'mode'"),
+        ('{"mode": "discrete",}', "is not valid JSON: Expecting property name enclosed in double "
+         "quotes: line 1 column 21 (char 20)"),
+    ],
+    ids=["list", "no-mode", "not-json"],
 )
 def test_bad_manifest_errors(tmp_path, capsys, manifest, message):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
+    path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
     rc, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path))
     assert rc == 1
-    assert message in parse_json(err)["error"]["message"]
+    error = parse_json(err)["error"]
+    assert message in error["message"]
+    if isinstance(manifest, str):
+        assert error["type"] == "CliError" and error["message"].startswith(str(path))
 
 
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])

@@ -11,6 +11,7 @@ from ivsysid.dynamics import (
     DivergenceError,
     add_noise,
     feature_map,
+    forcing,
     integrate,
     true_theta,
 )
@@ -46,20 +47,20 @@ def test_rhs_matches_parameter_encoding():
         t = rng.uniform(0, 10)
         state = rng.uniform(-30, 50, size=3)
         lhs = lorenz_rhs(t, state)
-        rhs = theta.T @ feature_map(t, state)
+        rhs = theta.T @ feature_map(forcing(t), state)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_feature_map_values():
-    np.testing.assert_allclose(feature_map(0.0, np.zeros(3)), np.zeros(6), atol=0)
-    out = feature_map(0.25, np.array([1.0, 2.0, 3.0]), 1.0)
+    np.testing.assert_allclose(feature_map(forcing(0.0), np.zeros(3)), np.zeros(6), atol=0)
+    out = feature_map(forcing(0.25, 1.0), np.array([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(out, [1.0, 1.0, 2.0, 3.0, 2.0, 3.0], atol=1e-15)
 
 
 def test_feature_map_broadcasts():
     t = np.array([0.0, 0.25])
     states = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    out = feature_map(t, states, 1.0)
+    out = feature_map(forcing(t, 1.0), states)
     assert out.shape == (2, 6)
     np.testing.assert_allclose(out[1], [1.0, 1.0, 2.0, 3.0, 2.0, 3.0], atol=1e-15)
 
@@ -69,10 +70,11 @@ def test_feature_map_stack_matches_per_class():
     rng = np.random.default_rng(8)
     t = rng.uniform(0, 5, size=40)
     states = rng.normal(size=(2, 40, 3)) * 10.0
-    out = feature_map(t, states, 1.3)
+    drive = forcing(t, 1.3)
+    out = feature_map(drive, states)
     assert out.shape == (2, 40, 6)
     for k in range(2):
-        assert np.array_equal(out[k], feature_map(t, states[k], 1.3))
+        assert np.array_equal(out[k], feature_map(drive, states[k]))
 
 
 def test_true_theta_entries():
@@ -135,14 +137,15 @@ def test_divergence_reports_step():
 
 def test_add_noise_zero_eta_is_identity(lorenz_trajectory):
     states = lorenz_trajectory.states[:100]
-    assert np.array_equal(add_noise(states, 0.0, np.random.default_rng(5)), states)
+    noisy = add_noise(states, 0.0, np.random.default_rng(5), np.empty_like(states))
+    assert np.array_equal(noisy, states)
 
 
 def test_add_noise_matches_normal_draws(lorenz_trajectory):
     # the in-place draw gives the bits of states + normal(0, sqrt(eta))
     eta, seed = 0.37, 2024
     states = lorenz_trajectory.states
-    noisy = add_noise(states, eta, np.random.default_rng(seed))
+    noisy = add_noise(states, eta, np.random.default_rng(seed), np.empty_like(states))
     expected = states + np.random.default_rng(seed).normal(0.0, math.sqrt(eta), states.shape)
     assert np.array_equal(noisy, expected)
 
@@ -157,17 +160,21 @@ def test_add_noise_in_blocks_equals_one_draw(lorenz_trajectory, sizes, eta, seed
     # one draw of all the rows: how a trial draws its record block by block
     bounds = np.cumsum([0, *sizes])
     states = lorenz_trajectory.states[: bounds[-1]]
-    whole = add_noise(states, eta, np.random.default_rng(seed))
+    whole = add_noise(states, eta, np.random.default_rng(seed), np.empty_like(states))
     rng = np.random.default_rng(seed)
-    blocks = [add_noise(states[a:b], eta, rng) for a, b in zip(bounds[:-1], bounds[1:])]
+    blocks = [
+        add_noise(states[a:b], eta, rng, np.empty_like(states[a:b]))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
     assert np.array_equal(np.concatenate([whole[:0], *blocks]), whole)
 
 
 def test_add_noise_variance_and_determinism(lorenz_trajectory):
     eta = 0.1
     states = lorenz_trajectory.states
-    noisy = add_noise(states, eta, np.random.default_rng(123))
-    assert np.array_equal(noisy, add_noise(states, eta, np.random.default_rng(123)))
+    noisy = add_noise(states, eta, np.random.default_rng(123), np.empty_like(states))
+    again = add_noise(states, eta, np.random.default_rng(123), np.empty_like(states))
+    assert np.array_equal(noisy, again)
     noise = noisy - lorenz_trajectory.states
     assert noise.var() == pytest.approx(eta, rel=0.02)
     # whiteness: lag-1 autocorrelation within 3/sqrt(n)

@@ -400,7 +400,8 @@ def test_trial_diagnostics(small_shared):
 def _whole_record(config: ExperimentConfig, trial_index: int, shared) -> np.ndarray:
     # the oracle: one add_noise draw of the whole record on the trial's seed
     rng = np.random.default_rng(trial_seed(config.master_seed, trial_index))
-    return add_noise(shared.trajectory.states, config.eta, rng)
+    states = shared.trajectory.states
+    return add_noise(states, config.eta, rng, np.empty_like(states))
 
 
 @pytest.mark.parametrize("block", [5, 64, 4096])
@@ -422,8 +423,20 @@ def test_streamed_trial_equals_whole_record(small_shared, monkeypatch, block, st
         _assert_same_estimate(streamed, estimate_series(values, config, small_shared.bank))
         trial_design, whole = designs[-2:]  # both went through capture
         # the trial design's rebuilt rows restart the draw and read the same record
-        for name in ("X", "Y", "Z", "times"):
+        for name in ("X", "Y", "Z"):
             assert np.array_equal(getattr(trial_design, name), getattr(whole, name)), name
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_drive_of_the_wrong_length_is_refused(small_shared, extra):
+    # one entry per window offset of the series; a column that does not fit
+    # would put each window's drive at another window
+    states = small_shared.trajectory.states
+    windows = SMALL.n - 2 * SMALL.N + 1
+    drive = np.resize(small_shared.drive, windows + extra)
+    with pytest.raises(ValueError, match=f"drive has {windows + extra} entries for {windows} "):
+        estimate_series(states, SMALL, small_shared.bank, drive=drive)
+    assert len(small_shared.drive) == windows
 
 
 @given(
@@ -436,7 +449,7 @@ def test_noisy_record_passes_equal_one_whole_record_draw(small_shared, sizes, se
     # pass read in one piece, give the rows of one whole-record draw
     states = small_shared.trajectory.states[:150]
     bounds = np.minimum(np.cumsum([0, *sizes, 150]), len(states))
-    whole = add_noise(states, 0.3, np.random.default_rng(seed))
+    whole = add_noise(states, 0.3, np.random.default_rng(seed), np.empty_like(states))
     record = NoisyRecord(states, 0.3, seed)
     assert record.shape == (150, 3)
     read, buf = record.open(), np.full((150, 3), np.nan)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ivsysid import splitfilters
-from ivsysid.dynamics import feature_map
+from ivsysid.dynamics import feature_map, forcing
 from ivsysid.polyfilter import FilterRankError
 from ivsysid.splitfilters import (
     DesignMatrices,
@@ -22,10 +22,20 @@ from ivsysid.splitfilters import (
     assemble_design,
     build_split_bank,
     rho_truncate,
+    window_times,
 )
 
-identity_features = lambda t, s: s  # noqa: E731
-lorenz_features = lambda t, s: feature_map(t, s, 1.0)  # noqa: E731
+identity_features = lambda w, s: s  # noqa: E731
+
+
+def lorenz_features(bank, t0=None, f=1.0):
+    """The Lorenz features of the windows at the offsets w, driven at their regression times."""
+    return lambda w, s: feature_map(forcing(window_times(bank, w, t0), f), s)
+
+
+def all_times(bank, n, stride=1):
+    """The regression times of every window of an n-sample series (row 0 at t = h)."""
+    return window_times(bank, slice(0, n - 2 * bank.base_window + 1, stride))
 
 
 def test_bank_structure_continuous():
@@ -137,7 +147,7 @@ def test_hat_and_tilde_agree_on_linear_signal():
     y = (np.arange(1, 41) * h)[:, None]
     design = assemble_design(y, bank, identity_features, mu=1e9, stride=1)
     np.testing.assert_allclose(design.X, design.Z, atol=1e-9)
-    np.testing.assert_allclose(design.X[:, 0], design.times, atol=1e-9)
+    np.testing.assert_allclose(design.X[:, 0], all_times(bank, 40), atol=1e-9)
 
 
 def test_polynomial_trajectory_continuous():
@@ -149,9 +159,10 @@ def test_polynomial_trajectory_continuous():
     t = np.arange(1, 61) * h
     y = poly(t)[:, None]
     design = assemble_design(y, bank, identity_features, mu=1e9, stride=1)
+    times = all_times(bank, 60)
     np.testing.assert_allclose(design.X, design.Z, atol=1e-6)
-    np.testing.assert_allclose(design.X[:, 0], poly(design.times), atol=1e-8)
-    np.testing.assert_allclose(design.Y[:, 0], poly.deriv()(design.times), atol=1e-6)
+    np.testing.assert_allclose(design.X[:, 0], poly(times), atol=1e-8)
+    np.testing.assert_allclose(design.Y[:, 0], poly.deriv()(times), atol=1e-6)
 
 
 def test_polynomial_trajectory_discrete_shift():
@@ -162,21 +173,26 @@ def test_polynomial_trajectory_discrete_shift():
     t = np.arange(1, 61) * h
     y = poly(t)[:, None]
     design = assemble_design(y, bank, identity_features, mu=1e9, stride=1)
-    np.testing.assert_allclose(design.Y[:, 0], poly(design.times + h), atol=1e-8)
+    np.testing.assert_allclose(design.Y[:, 0], poly(all_times(bank, 60) + h), atol=1e-8)
 
 
 def test_design_shapes_and_times():
     N, h, stride = 10, 0.5, 3
     bank = build_split_bank("continuous", N, h, 3)
     y = np.random.default_rng(0).normal(size=(35, 2))
-    design = assemble_design(y, bank, lambda t, s: s, mu=5.0, stride=stride)
+    offsets = []
+    design = assemble_design(
+        y, bank, lambda w, s: offsets.append(w) or s, mu=5.0, stride=stride
+    )
     n_prime = (35 - 2 * N) // stride + 1
+    assert offsets == [slice(0, 16, stride)]
+    assert design.times is None
     assert design.X.shape == (n_prime, 2)
     assert design.Y.shape == (n_prime, 2)
     assert design.Z.shape == (n_prime, 2)
     assert design.window_span == 2 * N
     expected_times = (np.arange(0, 16, stride) + N + 0.5) * h
-    np.testing.assert_allclose(design.times, expected_times)
+    np.testing.assert_allclose(window_times(bank, offsets[0]), expected_times)
 
 
 def test_empty_design_error():
@@ -279,17 +295,17 @@ def _check_against_dot_products(mode, n):
         y = rng.normal(size=(n, cols)) + 3.0
         cases = [(identity_features, stride) for stride in (1, 2, 3)]
         if cols == 3:  # the nonlinear Lorenz features build new arrays
-            cases += [(lorenz_features, stride) for stride in (1, 3)]
+            cases += [(lorenz_features(bank), stride) for stride in (1, 3)]
         for features, stride in cases:
             design = assemble_design(y, bank, features, mu=mu, stride=stride)
-            offsets = np.arange(0, n - 2 * N + 1, stride)
-            times = (offsets + N + 0.5) * h
+            every = slice(0, n - 2 * N + 1, stride)
+            offsets = np.arange(every.start, every.stop, every.step)
             hat = np.array([y[w + 1 : w + 2 * N : 2].T for w in offsets])
             tilde = np.array([y[w : w + 2 * N : 2].T for w in offsets])
             expected = {
                 "Y": hat @ c_H,
-                "X": features(times, hat @ c_G),
-                "Z": rho_truncate(features(times, tilde @ c_T), mu),
+                "X": features(every, hat @ c_G),
+                "Z": rho_truncate(features(every, tilde @ c_T), mu),
             }
             X, Y, Z = expected["X"], expected["Y"], expected["Z"]
             moments = {"xx": X.T @ X, "xy": X.T @ Y, "zx": Z.T @ X, "zy": Z.T @ Y}
@@ -319,12 +335,12 @@ def test_feature_map_called_once_per_design():
     # both parity classes' states go through one call, and every design
     # column comes out as one contiguous run of memory
     calls = []
-
-    def features(t, s):
-        calls.append(s.shape)
-        return lorenz_features(t, s)
-
     bank = build_split_bank("discrete", 10, 0.01, 4)
+
+    def features(w, s):
+        calls.append(s.shape)
+        return lorenz_features(bank)(w, s)
+
     y = np.random.default_rng(5).normal(size=(301, 3))
     design = assemble_design(y, bank, features, mu=50.0)
     assert calls == [(2, 282, 3)]
@@ -374,11 +390,12 @@ def test_block_boundaries_do_not_move_moments(mode, n, stride, block, t0, seed):
     # any block size gives the window count and moments of the one-block design
     bank = _PROPERTY_BANKS[mode]
     y = np.random.default_rng(seed).normal(size=(n, 3)) + 3.0
+    features = lorenz_features(bank, t0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitfilters, "_BLOCK_WINDOWS", block)
-        blocked = assemble_design(y, bank, lorenz_features, mu=20.0, stride=stride, t0=t0)
+        blocked = assemble_design(y, bank, features, mu=20.0, stride=stride)
         mp.setattr(splitfilters, "_BLOCK_WINDOWS", n)
-        whole = assemble_design(y, bank, lorenz_features, mu=20.0, stride=stride, t0=t0)
+        whole = assemble_design(y, bank, features, mu=20.0, stride=stride)
     assert blocked.n_windows == whole.n_windows == (n - 12) // stride + 1
     for name in ("xx", "xy", "zx", "zy"):
         got, want = getattr(blocked, name), getattr(whole, name)
@@ -409,19 +426,22 @@ def test_time_origin_shift_moves_only_the_forcing_phase(
     f = 1.3
     y = np.random.default_rng(seed).normal(size=(n, 3)) + 3.0
     t0, moved = start / 16, (start + shift) / 16
-    features = lambda t, s: feature_map(t, s, f)  # noqa: E731
+    every = slice(0, n - 12 + 1, stride)
+    times = {t0: window_times(bank, every, t0), moved: window_times(bank, every, moved)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitfilters, "_BLOCK_WINDOWS", block)
-        a = assemble_design(y, bank, features, mu=20.0, stride=stride, t0=t0)
-        b = assemble_design(y, bank, features, mu=20.0, stride=stride, t0=moved)
+        a, b = (
+            assemble_design(y, bank, lorenz_features(bank, origin, f), mu=20.0, stride=stride)
+            for origin in (t0, moved)
+        )
     assert a.n_windows == b.n_windows == (n - 12) // stride + 1
     assert np.array_equal(a.Y, b.Y)
     assert np.array_equal(a.X[:, 1:], b.X[:, 1:])
     assert np.array_equal(a.xx[1:, 1:], b.xx[1:, 1:])
     assert np.array_equal(a.xy[1:], b.xy[1:])
-    assert np.array_equal(b.times - a.times, np.full(a.n_windows, shift / 16))
-    for design in (a, b):
-        assert np.array_equal(design.X[:, 0], np.sin(2.0 * np.pi * f * design.times))
+    assert np.array_equal(times[moved] - times[t0], np.full(a.n_windows, shift / 16))
+    for design, origin in ((a, t0), (b, moved)):
+        assert np.array_equal(design.X[:, 0], np.sin(2.0 * np.pi * f * times[origin]))
         # the blocks' drive moments follow the same times as the rebuilt rows
         np.testing.assert_allclose(
             design.xy[0], design.X[:, 0] @ design.Y, rtol=1e-12, atol=1e-12
@@ -457,14 +477,15 @@ def test_strided_rows_are_every_sth_unit_stride_row(mode, n, stride, block, seed
     # the rows agree when rebuilt, and the blocks' moments agree with theirs
     bank = _PROPERTY_BANKS[mode]
     y = np.random.default_rng(seed).normal(size=(n, 3)) + 3.0
+    features = lorenz_features(bank)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitfilters, "_BLOCK_WINDOWS", block)
-        strided = assemble_design(y, bank, lorenz_features, mu=20.0, stride=stride)
-        unit = assemble_design(y, bank, lorenz_features, mu=20.0)
-    rows = {name: getattr(unit, name)[::stride] for name in ("X", "Y", "Z", "times")}
+        strided = assemble_design(y, bank, features, mu=20.0, stride=stride)
+        unit = assemble_design(y, bank, features, mu=20.0)
+    rows = {name: getattr(unit, name)[::stride] for name in ("X", "Y", "Z")}
     X, Y, Z = rows["X"], rows["Y"], rows["Z"]
     moments = {"xx": X.T @ X, "xy": X.T @ Y, "zx": Z.T @ X, "zy": Z.T @ Y}
-    assert strided.n_windows == rows["times"].shape[0] == (n - 12) // stride + 1
+    assert strided.n_windows == X.shape[0] == (n - 12) // stride + 1
     for name, want in (moments | rows).items():
         got = getattr(strided, name)
         assert got.shape == want.shape, name
@@ -499,12 +520,12 @@ def test_design_reads_each_pass_forward_from_row_zero(monkeypatch, stride):
     bank = build_split_bank("discrete", 10, 0.01, 4)
     y = np.random.default_rng(9).normal(size=(500, 3))
     record = _RecordingRecord(y)
-    design = assemble_design(record, bank, lorenz_features, mu=50.0, stride=stride)
+    features = lorenz_features(bank)
+    design = assemble_design(record, bank, features, mu=50.0, stride=stride)
     assert len(record.passes) == 1 and len(record.passes[0]) > 1
-    rows = {name: getattr(design, name) for name in ("X", "Y", "Z", "times")}
-    # the rebuild: the windows' rows in one read, then the rows after them
-    rebuild = record.passes[1]
-    assert len(record.passes) == 2 and len(rebuild) == 1 + (rebuild[0][1] < len(y))
+    rows = {name: getattr(design, name) for name in ("X", "Y", "Z")}
+    # the rows come from a second run of the same walk, which reads as the first did
+    assert len(record.passes) == 2 and record.passes[1] == record.passes[0]
     # rows that no window reads: between blocks at stride 21, after the last window
     offsets = np.arange(0, len(y) - 20 + 1, stride)
     unread = np.ones(len(y), bool)
@@ -521,7 +542,7 @@ def test_design_reads_each_pass_forward_from_row_zero(monkeypatch, stride):
         for a, b in reads:
             times_read[a:b] += 1
         assert np.all(times_read[unread] == 1), reads
-    whole = assemble_design(y, bank, lorenz_features, mu=50.0, stride=stride)
+    whole = assemble_design(y, bank, features, mu=50.0, stride=stride)
     assert design.n_windows == whole.n_windows
     for name in ("xx", "xy", "zx", "zy"):
         assert np.array_equal(getattr(design, name), getattr(whole, name)), name
@@ -529,23 +550,62 @@ def test_design_reads_each_pass_forward_from_row_zero(monkeypatch, stride):
         assert np.array_equal(got, getattr(whole, name)), name
 
 
-def test_feature_map_called_once_per_block(monkeypatch):
-    calls = []
-
-    def features(t, s):
-        calls.append(s.shape)
-        return lorenz_features(t, s)
-
+@pytest.mark.parametrize("stride", [1, 3, 21])
+def test_rows_are_the_blocks_the_first_pass_summed(monkeypatch, stride):
+    # reading the rows of a multi-block design runs the walk again: they are,
+    # bit for bit, the blocks of the first pass, whose in-order moment sums
+    # the design holds, and the second pass reads the record as the first did
     monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 64)
     bank = build_split_bank("discrete", 10, 0.01, 4)
+    record = _RecordingRecord(np.random.default_rng(12).normal(size=(500, 3)))
+    features, filter_outputs, feature_outputs = lorenz_features(bank), [], []
+    parity_filtered = splitfilters._parity_filtered
+
+    def recording_filter(samples, bank):
+        filter_outputs.append(parity_filtered(samples, bank))
+        return filter_outputs[-1]
+
+    def recording_features(w, s):
+        feature_outputs.append(features(w, s))
+        return feature_outputs[-1]
+
+    monkeypatch.setattr(splitfilters, "_parity_filtered", recording_filter)
+    design = assemble_design(record, bank, recording_features, mu=50.0, stride=stride)
+    blocks = len(feature_outputs)
+    X, Y, Z = design.X, design.Y, design.Z
+    assert blocks > 2 and len(feature_outputs) == len(filter_outputs) == 2 * blocks
+    assert len(record.passes) == 2 and record.passes[1] == record.passes[0]
+    first = feature_outputs[:blocks]
+    assert np.array_equal(X, np.concatenate([out[0] for out in first]))
+    assert np.array_equal(Y, np.concatenate([out[0, ::stride] for out in filter_outputs[:blocks]]))
+    assert np.array_equal(Z, np.concatenate([rho_truncate(out[1], 50.0) for out in first]))
+    cuts = np.cumsum([0] + [out.shape[1] for out in first])
+    sums = None
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        x, y, z = X[a:b], Y[a:b], Z[a:b]
+        block = [x.T @ x, x.T @ y, z.T @ x, z.T @ y]
+        sums = block if sums is None else [total + m for total, m in zip(sums, block)]
+    for name, want in zip(("xx", "xy", "zx", "zy"), sums):
+        assert np.array_equal(getattr(design, name), want), name
+
+
+def test_feature_map_called_once_per_block(monkeypatch):
+    calls = []
+    bank = build_split_bank("discrete", 10, 0.01, 4)
+
+    def features(w, s):
+        calls.append(s.shape)
+        return lorenz_features(bank)(w, s)
+
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 64)
     y = np.random.default_rng(5).normal(size=(301, 3))
     design = assemble_design(y, bank, features, mu=50.0)
     assert calls == [(2, 64, 3)] * 4 + [(2, 26, 3)]
     assert design.n_windows == 282
-    # reading the rows of a multi-block design rebuilds them once
+    # reading the rows of a multi-block design walks the same blocks once more
     assert design.X.shape == (282, 6)
     assert design.Z.shape == (282, 6) and design.Y.shape == (282, 3)
-    assert calls[5:] == [(2, 282, 3)]
+    assert calls[5:] == calls[:5]
 
 
 def test_design_memory_is_bounded_by_block():
@@ -553,10 +613,11 @@ def test_design_memory_is_bounded_by_block():
     # 50 MB at n = 2e5; the blocks keep the peak near 2 MB
     bank = build_split_bank("discrete", 10, 1e-3, 4)
     y = np.random.default_rng(7).normal(size=(200_000, 3))
-    assemble_design(y, bank, lorenz_features, mu=200.0)  # fills the spectra cache
+    features = lorenz_features(bank)
+    assemble_design(y, bank, features, mu=200.0)  # fills the spectra cache
     tracemalloc.start()
     try:
-        design = assemble_design(y, bank, lorenz_features, mu=200.0)
+        design = assemble_design(y, bank, features, mu=200.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
