@@ -9,7 +9,6 @@ print to stderr as JSON with a nonzero exit code.
 from __future__ import annotations
 
 import argparse
-import codecs
 import json
 import re
 import sys
@@ -48,8 +47,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-#: The config fields `estimate` reads: the file gives n and h, and it draws no
-#: noise and runs no trials.
+#: The config fields `estimate` reads: the file gives h and the rows, and it
+#: draws no noise and runs no trials.
 _ESTIMATE_FIELDS = ("mode", "N", "p", "lam", "mu", "stride", "forcing_freq")
 
 
@@ -144,139 +143,102 @@ def _cmd_filters(args) -> dict:
     }
 
 
-#: Bytes per read of the row count's scan: a 7.5 MB file took 2.6-2.7 ms at
-#: 128 KiB and 13-14 ms at 1 MiB on a 2-core Xeon.
-_COUNT_CHUNK = 1 << 17
-
-
-def _rows_in(piece: bytes) -> int:
-    r"""The rows np.loadtxt reads from piece, which starts a line.
-
-    np.loadtxt splits lines at \n, \r\n or \r and skips a line with nothing
-    before its first '#'. A piece that ends at a \n, whose breaks are all \n
-    or all \r\n, and that holds no '#' and no empty line, has one row per
-    \n; any other piece is split into lines.
-    """
-    codes = np.frombuffer(piece, np.uint8)
-    lf = codes == ord("\n")
-    # the first byte of an empty line: \n, or with \r\n breaks the \r
-    blank = lf if b"\r" not in piece else codes == ord("\r")
-    if (
-        piece.endswith(b"\n")
-        and b"#" not in piece
-        and (blank is lf or np.array_equal(blank[:-1], lf[1:]))  # \r\n breaks only
-        and not (lf[0] or blank[0] or (lf[:-1] & blank[1:]).any())
-    ):
-        return int(np.count_nonzero(lf))
-    return sum(1 for line in piece.splitlines() if line.partition(b"#")[0])
-
-
-def _count_rows(path: str) -> int:
-    """The lines of a file that np.loadtxt reads as rows, in one chunked scan."""
-    rows = 0
-    with open(path, "rb") as fh:
-        rest = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
-        while chunk := fh.read(_COUNT_CHUNK):
-            lines = rest + chunk
-            cut = max(lines.rfind(b"\n"), lines.rfind(b"\r")) + 1
-            rows += _rows_in(lines[:cut])
-            rest = lines[cut:]
-    return rows + _rows_in(rest)
-
-
 def _read_measurements(fh, usecols: list[int], rows: int) -> np.ndarray:
-    """Parse the next `rows` rows of an open CSV: (rows, len(usecols)) floats."""
+    """Parse up to `rows` more rows of an open CSV: (k, len(usecols)) floats, k <= rows."""
     with warnings.catch_warnings():
-        # the notice that skipped lines do not count towards max_rows
+        # the notices that skipped lines do not count towards max_rows, and
+        # that a read at the end of the file found no rows
         warnings.filterwarnings("ignore", "Input line", UserWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2, max_rows=rows)
 
 
 class _CsvRecord:
     """A measurement CSV as a record for assemble_design, parsed block by block.
 
-    shape[0] counts the data rows; each pass that open() starts parses the
-    rows as the design reads them, so a pass holds one block, not the file,
-    and copies the parsed block into the walk's buffer. Every block is
-    checked: values finite, and each time step, the one from the
-    block before included, equal to the first step to a relative 1e-9. The
-    first `head` rows are parsed and checked here, so the faults of a file
-    shorter than one window are reported before its length.
+    columns counts the measured columns. Each pass that open() starts parses
+    the rows as the design reads them, so a pass holds one block, not the
+    file, and copies the parsed block into the walk's buffer; the file ends
+    at the first read that parses fewer rows than it asks for. Every block
+    is checked: values finite, and each time step, the one from the block
+    before included, equal to the first step to a relative 1e-9. The first
+    `head` rows are parsed and checked here, so the faults of a file shorter
+    than one window are reported before its length.
     """
 
     def __init__(self, path: str, head: int):
         self.path = path
         # utf-8-sig drops a leading byte-order mark; header names may be padded
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = fh.readline()
-            self.fields = fields = [name.strip() for name in header.split(",")]
+            self.fields = fields = [name.strip() for name in fh.readline().split(",")]
             if "t" not in fields:
                 raise CliError(f"{path} has no 't' column (found {fields})")
             if all(c in fields for c in ("z1", "z2", "z3")):
-                self.columns = ("t", "z1", "z2", "z3")
+                self.names = ("t", "z1", "z2", "z3")
             elif all(c in fields for c in ("x1", "x2", "x3")):
-                self.columns = ("t", "x1", "x2", "x3")
+                self.names = ("t", "x1", "x2", "x3")
             else:
                 raise CliError(f"{path} needs columns z1..z3 or x1..x3 (found {fields})")
-            self.usecols = [fields.index(c) for c in self.columns]
-            # the header line is no data row, unless np.loadtxt would skip it
-            self.n = _count_rows(path) - bool(header.rstrip("\r\n").partition("#")[0])
-            if self.n < 2:
-                raise CliError(f"{path} has {self.n} data rows; need at least 2")
-            first = self._parse(fh, 0, min(self.n, head))
+            self.usecols = [fields.index(c) for c in self.names]
+            first = self._parse(fh, 0, head)
+        if len(first) < 2:
+            raise CliError(f"{path} has {len(first)} data rows; need at least 2")
+        self.columns = len(self.names) - 1
         self.t0, self.h = float(first[0, 0]), float(first[1, 0] - first[0, 0])
         self._check(first, 0, None)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.n, len(self.columns) - 1
-
     def open(self):
-        """Start a pass; it closes the file at the last row or at a fault."""
+        """Start a pass; it closes the file at its short read or at a fault."""
         fh = open(self.path, newline="", encoding="utf-8-sig")
         fh.readline()
         before = None  # the time of the row before the next read
 
-        def read(a: int, b: int, out: np.ndarray) -> None:
+        def read(a: int, b: int, out: np.ndarray) -> int:
             nonlocal before
             try:
                 block = self._parse(fh, a, b - a)
-                self._check(block, a, before)
+                if len(block):
+                    self._check(block, a, before)
+                    before = block[-1, 0]
             except BaseException:
                 fh.close()
                 raise
-            if b == self.n:
+            if len(block) < b - a:
                 fh.close()
-            before = block[-1, 0]
-            out[...] = block[:, 1:]
+            out[: len(block)] = block[:, 1:]
+            return len(block)
 
         return read
 
     def _parse(self, fh, first: int, rows: int) -> np.ndarray:
+        """Up to `rows` rows from data row first + 1 on; a fault names its data row and column."""
         try:
-            block = _read_measurements(fh, self.usecols, rows)
+            return _read_measurements(fh, self.usecols, rows)
         except ValueError as exc:
-            # np.loadtxt counts the rows of this call from 0 and the file's columns from 1
-            place = re.search(r" at row (\d+), column (\d+)\.$", str(exc))
-            if place is None:
+            text = str(exc)
+            # np.loadtxt counts the rows of this call from 0 and the file's columns from 1 here,
+            if place := re.search(r" at row (\d+), column (\d+)\.$", text):
+                row, col, cause = int(place[1]) + 1, int(place[2]) - 1, text[: place.start()]
+            # and the rows from 1 and the file's columns from 0 here
+            elif place := re.fullmatch(
+                r"invalid column index (\d+) at row (\d+) with (\d+) columns", text
+            ):
+                row, col = int(place[2]), int(place[1])
+                cause = f"a short row ({place[3]} of {len(self.fields)} fields) has no value"
+            else:
                 raise CliError(
                     f"{self.path}: {exc} (in data rows {first + 1} to {first + rows})"
                 ) from exc
-            row, col = (int(v) for v in place.groups())
             raise CliError(
-                f"{self.path}: {str(exc)[: place.start()]} in column "
-                f"{self.fields[col - 1]!r} at data row {first + row + 1}"
+                f"{self.path}: {cause} in column {self.fields[col]!r} at data row {first + row}"
             ) from exc
-        if len(block) != rows:
-            raise CliError(f"{self.path}: expected {self.n} data rows, read {first + len(block)}")
-        return block
 
     def _check(self, block: np.ndarray, first: int, before: float | None) -> None:
         """Raise at the first fault of data rows first + 1 .. first + len(block)."""
         if not np.isfinite(block).all():
             row, col = np.argwhere(~np.isfinite(block))[0]
             raise CliError(
-                f"{self.path}: column {self.columns[col]!r} has a non-finite value "
+                f"{self.path}: column {self.names[col]!r} has a non-finite value "
                 f"({block[row, col]}) at data row {first + row + 1}"
             )
         t, h = block[:, 0], self.h
@@ -310,8 +272,8 @@ def _cmd_estimate(args) -> dict:
     cfg = _resolve_config(args)
     keep_block_memory()
     record = _CsvRecord(args.input, head=2 * cfg.N)
-    # the file is authoritative for sample count and step
-    cfg = replace(cfg, n=record.n, h=record.h)
+    # the file is authoritative for the step; its rows end where it does
+    cfg = replace(cfg, h=record.h)
     bank = build_split_bank(cfg.mode, cfg.N, cfg.h, cfg.p)
     result = asdict(estimate_series(record, cfg, bank, t0=record.t0))
     for name in ("iv", "ls"):

@@ -219,18 +219,19 @@ def estimate_series(
     """Filter one (n, 3) series with bank and solve IV and LS on its moments.
 
     values is an (n, 3) array or a record, such as a trial's NoisyRecord:
-    an object with shape (n, 3) whose open() starts a forward pass of reads
-    (see assemble_design). The features of a block of window offsets w
-    read the drive as drive[w] when drive holds one entry per window offset
-    (SharedArtifacts.drive; other lengths raise ValueError), and compute it
-    as forcing(window_times(bank, w, t0)) otherwise: sample i sits at time
+    an object of 3 columns whose open() starts a forward pass of reads that
+    ends at the first short one (see assemble_design). The features of a
+    block of window offsets w read the drive as drive[w] when drive is
+    given: one entry per window offset of a config.n-row record
+    (SharedArtifacts.drive; other lengths raise ValueError). Without it they
+    compute forcing(window_times(bank, w, t0)): sample i sits at time
     t0 + i * h, with t0 = h when None (the simulator's grid).
     """
     if drive is None:
         f = config.forcing_freq
         feats = lambda w, s: feature_map(forcing(window_times(bank, w, t0), f), s)  # noqa: E731
     else:
-        windows = values.shape[0] - 2 * bank.base_window + 1
+        windows = config.n - 2 * bank.base_window + 1
         if len(drive) != windows:
             raise ValueError(f"drive has {len(drive)} entries for {windows} window offsets")
         feats = lambda w, s: feature_map(drive[w], s)  # noqa: E731
@@ -265,21 +266,25 @@ class NoisyRecord:
 
     Each pass, started by open(), draws on a fresh generator from seed, so
     consecutive reads from row 0 give the bits of one add_noise draw of the
-    whole record, and passes share no state. read(a, b, out) draws the
-    rows straight into out (the walk's block buffer).
+    whole record, and passes share no state. read(a, b, out) draws the rows
+    of a to b - 1 that the states hold straight into out (the walk's block
+    buffer) and returns their count, so no pass draws past the last row.
     """
 
     states: np.ndarray
     eta: float
     seed: int
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.states.shape
+    columns = property(lambda self: self.states.shape[1])
 
     def open(self):
         rng = np.random.default_rng(self.seed)
-        return lambda a, b, out: add_noise(self.states[a:b], self.eta, rng, out)
+
+        def read(a: int, b: int, out: np.ndarray) -> int:
+            rows = self.states[a:b]
+            return len(add_noise(rows, self.eta, rng, out[: len(rows)]))
+
+        return read
 
 
 def trial_record(config: ExperimentConfig, trial_index: int, states: np.ndarray) -> NoisyRecord:

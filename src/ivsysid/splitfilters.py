@@ -12,6 +12,7 @@ regressors row by row, which is what removes the errors-in-variables bias.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -156,6 +157,7 @@ class DesignMatrices:
 
     def _sum(self, walk: Callable, window_span: int) -> DesignMatrices:
         self.window_span, self.times, self.n_windows, self._walk = window_span, None, 0, walk
+        self._kept = None
         walk(self._add)
         return self
 
@@ -168,11 +170,14 @@ class DesignMatrices:
             self.xx, self.xy, self.zx, self.zy = moments
         self.n_windows += X.shape[0]
 
-    @functools.cached_property
+    @property
     def _rows(self) -> tuple:
-        blocks = []
-        self._walk(lambda *rows: blocks.append(rows))
-        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+        # kept on the design, with no lock: a racing second build makes the same rows
+        if self._kept is None:
+            blocks = []
+            self._walk(lambda *rows: blocks.append(rows))
+            self._kept = tuple(np.concatenate(parts) for parts in zip(*blocks))
+        return self._kept
 
     X = property(lambda self: self._rows[0])
     Y = property(lambda self: self._rows[1])
@@ -262,6 +267,13 @@ def window_times(
     return (np.arange(windows.start, windows.stop, windows.step) + N - 0.5) * h + t0
 
 
+def _copy_rows(values: np.ndarray, a: int, b: int, out: np.ndarray) -> int:
+    """An array record's read: copy the rows of a to b - 1 that values has into out."""
+    rows = values[a:b]
+    out[: len(rows)] = rows
+    return len(rows)
+
+
 def assemble_design(
     measurements,
     bank: SplitFilterBank,
@@ -271,16 +283,19 @@ def assemble_design(
 ) -> DesignMatrices:
     """Slide the split windows over a measurement series and sum the moments.
 
-    `measurements` is an (n, d) or (n,) array, or a record: an object with
-    shape (n, d) whose open() starts a pass and returns read(a, b, out),
-    which fills out, a C-contiguous (b - a, d) float array, with the rows a
-    to b - 1 (an array input's rows are copied in). A pass reads consecutive
-    row ranges from row 0 to row n and never goes back, so a record may draw
-    or parse rows as they are read, and check every row, also those after
-    the last window. Windows span 2N raw samples (N per parity class) and
-    start at offsets 0, stride, 2*stride, ... as long as they fit; trailing
-    samples that do not fill a window are dropped. For the windows at the
-    offsets w of a block, a slice(w0, w1, stride),
+    `measurements` is an (n, d) or (n,) array, or a record: an object whose
+    columns is d and whose open() starts a pass and returns read(a, b, out).
+    read fills out, a C-contiguous (b - a, d) float array, with the rows a
+    to a + k - 1 and returns k <= b - a; a short read (k < b - a) means
+    that the record has a + k rows. A record gives no length: a pass reads
+    consecutive row ranges from row 0 until its first short read and never
+    goes back, so a record may draw or parse rows as they are read, and
+    check every row, also those after the last window. An array is read as
+    such a record whose reads copy its rows in. Windows span 2N raw samples
+    (N per parity class) and start at offsets 0, stride, 2*stride, ... as
+    long as they fit; trailing samples that do not fill a window are
+    dropped. For the windows at the offsets w of a block, a slice(w0, w1,
+    stride),
 
         X rows = feature_map(w, hat_G state estimates)      (later parity)
         Y rows = hat_H response estimates                   (later parity)
@@ -291,33 +306,32 @@ def assemble_design(
     at a multiple of stride, and each block's moments are added in order.
     A pass holds one buffer of block + 2N - 1 rows: each block moves the
     rows it shares with the block before to the front and has read fill the
-    rest. The rows that a stride wider than 2N leaves between blocks, and
-    those after the last window, are read into it and dropped.
-    feature_map must broadcast over a leading axis: given the block's slice
-    of offsets and (2, b, d_y) states it returns (2, b, d_phi) features. It
-    is called once per block, on the hat and the tilde states together.
-    What an offset stands for (a regression time, see window_times, or an
-    entry of a column the caller holds) is the feature map's business.
+    rest, up to the rows a whole block reads. The rows that a stride wider
+    than 2N leaves between blocks are read into it and dropped, and so are
+    the rows after the last window, which the read that comes up short takes
+    in. feature_map must broadcast over a leading axis: given the block's
+    slice of offsets and (2, b, d_y) states it returns (2, b, d_phi)
+    features. It is called once per block, on the hat and the tilde states
+    together. What an offset stands for (a regression time, see
+    window_times, or an entry of a column the caller holds) is the feature
+    map's business.
 
     The design keeps the walk: reading its X, Y or Z runs it again, which
     must read the same rows, and gives the rows whose moments were summed.
 
     Raises:
-        EmptyDesignError: fewer samples than one window.
+        EmptyDesignError: fewer samples than one window, once the pass has
+            read to the record's end.
     """
-    record = hasattr(measurements, "open")
-    if not record:
-        measurements = np.asarray(measurements)
-    n = measurements.shape[0]
-    span = 2 * bank.base_window
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if n < span:
-        raise EmptyDesignError(f"need at least {span} samples for one window, got {n}")
-    windows = n - span + 1
-    if not record:
-        measurements = measurements.reshape(n, -1)
-    d = measurements.shape[1]
+    if hasattr(measurements, "open"):
+        d, start = measurements.columns, measurements.open
+    else:
+        values = np.asarray(measurements)
+        values = values[:, None] if values.ndim == 1 else values
+        d, start = values.shape[1], lambda: functools.partial(_copy_rows, values)
+    span = 2 * bank.base_window
     block = max(stride, _BLOCK_WINDOWS - _BLOCK_WINDOWS % stride)
 
     def rows(samples: np.ndarray, w: slice) -> tuple:
@@ -334,24 +348,26 @@ def assemble_design(
 
     def walk(add: Callable) -> None:
         """One forward pass; add(X, Y, Z) gets each block's rows, in order."""
-        buf = np.empty((min(block + span - 1, n), d))
-        read = measurements.open() if record else (
-            lambda a, b, out: np.copyto(out, measurements[a:b])
-        )
-        pos = first = 0  # rows read so far; the row buf[0] holds
-        for w0 in range(0, windows, block):
-            w1 = min(w0 + block, windows)
-            stop = w1 - 1 - (w1 - 1 - w0) % stride + span  # one past the last row read
+        buf = np.empty((block + span - 1, d))
+        read = start()
+        pos = 0  # rows read so far
+        for w0 in itertools.count(0, block):
+            stop = w0 + block - 1 - (block - 1) % stride + span  # one past a whole block's rows
             if pos < w0:
-                read(pos, w0, buf[: w0 - pos])  # rows no window reads
+                pos += read(pos, w0, buf[: w0 - pos])  # rows no window reads
             else:
-                buf[: pos - w0] = buf[w0 - first : pos - first]  # rows the last block read
-            a = max(pos, w0)
-            read(a, stop, buf[a - w0 : stop - w0])
-            pos, first = stop, w0
+                buf[: pos - w0] = buf[block : pos - w0 + block]  # rows the last block read
+            if pos >= w0:
+                pos += read(pos, stop, buf[pos - w0 : stop - w0])
+            w1 = w0 + block if pos == stop else pos - span + 1  # a short read: pos rows in all
+            if w1 <= w0:
+                if w0:
+                    return
+                raise EmptyDesignError(f"need at least {span} samples for one window, got {pos}")
+            end = w1 - 1 - (w1 - 1 - w0) % stride + span  # one past the last row a window reads
             # nothing here holds a block's rows past add
-            add(*rows(buf[: stop - w0], slice(w0, w1, stride)))
-        if pos < n:
-            read(pos, n, buf[: n - pos])  # rows after the last window
+            add(*rows(buf[: end - w0], slice(w0, w1, stride)))
+            if pos < stop:
+                return
 
     return DesignMatrices._walked(walk, span)

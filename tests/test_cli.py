@@ -261,10 +261,8 @@ _ODD_FILES = {
 
 @pytest.mark.parametrize("name", list(_ODD_FILES))
 def test_estimate_counts_the_rows_loadtxt_reads(tmp_path, capsys, monkeypatch, name):
-    # blocks of 256 windows and a 997-byte count chunk put line breaks, CRLF
-    # pairs and the odd line at every kind of boundary
+    # blocks of 256 windows put the odd line and the file's end inside a block
     monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 256)
-    monkeypatch.setattr(cli, "_COUNT_CHUNK", 997)
     common = ["--mode", "continuous", "--set", "N=20", "--set", "p=4"]
     rows = _measurement_rows(3000)
     plain, odd = tmp_path / "plain.csv", tmp_path / f"{name}.csv"
@@ -275,28 +273,6 @@ def test_estimate_counts_the_rows_loadtxt_reads(tmp_path, capsys, monkeypatch, n
     rc, got, err = run_cli(capsys, "estimate", *common, "--input", str(odd))
     assert rc == 0, err
     assert got == want
-
-
-@given(
-    tokens=st.sampled_from([["1,2", "3,4 # x", "", "# c", "#"], ["1,2", "1,2", ""], ["1,2", "#"]]),
-    breaks=st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n"], ["\n", "\r"]]),
-    data=st.data(),
-    last=st.booleans(),
-    chunk=st.sampled_from([1, 5, 16, 64]),
-)
-def test_row_count_equals_loadtxt(tmp_path_factory, tokens, breaks, data, last, chunk):
-    lines = data.draw(st.lists(st.sampled_from(tokens), max_size=40))
-    text = "".join(line + data.draw(st.sampled_from(breaks)) for line in lines)
-    if not last:
-        text = text.rstrip("\r\n")  # no line break after the last line
-    path = tmp_path_factory.mktemp("count") / "rows.csv"
-    path.write_bytes(text.encode())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # np.loadtxt warns when it finds no rows
-        want = np.loadtxt(path, delimiter=",", ndmin=2).shape[0]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_COUNT_CHUNK", chunk)
-        assert cli._count_rows(str(path)) == want
 
 
 @pytest.mark.parametrize("block", [64, 4096])
@@ -343,6 +319,11 @@ def test_streamed_estimate_equals_the_array_estimate(tmp_path, capsys, monkeypat
             "text-third-block", [], ["'abc'", "column 'z3' at data row 200"],
             id="text-third-block",
         ),
+        # a row of two fields: the file's first missing column and the global data row
+        pytest.param(
+            "short-row-third-block", [], ["(2 of 4 fields)", "column 'z2' at data row 200"],
+            id="short-row-third-block",
+        ),
     ],
 )
 def test_estimate_checks_every_block(tmp_path, capsys, monkeypatch, fault, flags, named):
@@ -360,6 +341,8 @@ def test_estimate_checks_every_block(tmp_path, capsys, monkeypatch, fault, flags
     if fault.startswith("text"):
         row, col = (9, 2) if fault == "text-first-block" else (199, 3)
         rows[row][col] = "abc"
+    elif fault == "short-row-third-block":
+        rows[199] = rows[199][:2]
     rows = [",".join(row) for row in rows]
     path.write_text("t,z1,z2,z3\n" + "\n".join(rows) + "\n")
     rc, out, err = run_cli(
@@ -371,6 +354,56 @@ def test_estimate_checks_every_block(tmp_path, capsys, monkeypatch, fault, flags
     assert error["type"] == "CliError"
     for part in named:
         assert part in error["message"], error
+
+
+class _CountedFile:
+    """A file whose reads add the length of what they return to a list."""
+
+    def __init__(self, fh, counts: list[int]):
+        self.fh, self.counts = fh, counts
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self._counted(next(self.fh))
+
+    def read(self, *args):
+        return self._counted(self.fh.read(*args))
+
+    def readline(self, *args):
+        return self._counted(self.fh.readline(*args))
+
+    def _counted(self, data):
+        self.counts.append(len(data))
+        return data
+
+
+def test_estimate_reads_its_file_once(tmp_path, capsys, monkeypatch):
+    # the header and the head rows that give t0 and h, then the file once
+    path = tmp_path / "record.csv"
+    rows = _measurement_rows(10_003)
+    path.write_text("t,z1,z2,z3\n" + "\n".join(rows) + "\n")
+    counts: list[int] = []
+    monkeypatch.setattr(
+        cli, "open", lambda *args, **kw: _CountedFile(open(*args, **kw), counts), raising=False
+    )
+    rc, _, err = run_cli(
+        capsys, "estimate", "--mode", "continuous", "--set", "N=20", "--set", "p=4",
+        "--input", str(path),
+    )
+    assert rc == 0, err
+    head = len("t,z1,z2,z3\n") + sum(len(row) + 1 for row in rows[:40])
+    assert 0 < sum(counts) <= path.stat().st_size + head
 
 
 def _estimate_peak(capsys, path: Path) -> int:

@@ -451,12 +451,12 @@ def test_noisy_record_passes_equal_one_whole_record_draw(small_shared, sizes, se
     bounds = np.minimum(np.cumsum([0, *sizes, 150]), len(states))
     whole = add_noise(states, 0.3, np.random.default_rng(seed), np.empty_like(states))
     record = NoisyRecord(states, 0.3, seed)
-    assert record.shape == (150, 3)
+    assert record.columns == 3
     read, buf = record.open(), np.full((150, 3), np.nan)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        read(a, b, buf[: b - a])
+        assert read(a, b, buf[: b - a]) == b - a
         assert np.array_equal(buf[: b - a], whole[a:b])
-    record.open()(0, 150, buf)
+    assert record.open()(0, 150, buf) == 150
     assert np.array_equal(buf, whole)
 
 

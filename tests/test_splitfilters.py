@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ivsysid import splitfilters
-from ivsysid.dynamics import feature_map, forcing
+from ivsysid import harness, splitfilters
+from ivsysid.cli import _CsvRecord
+from ivsysid.dynamics import add_noise, feature_map, forcing
+from ivsysid.harness import NoisyRecord
 from ivsysid.polyfilter import FilterRankError
 from ivsysid.splitfilters import (
     DesignMatrices,
@@ -493,24 +496,40 @@ def test_strided_rows_are_every_sth_unit_stride_row(mode, n, stride, block, seed
 
 
 class _RecordingRecord:
-    """A record over an array that logs the (a, b) reads of each pass.
+    """A record that logs each pass's reads as (a, b, k): rows a to b - 1 asked for, k read.
 
-    Its reads fill the walk's buffer, as a trial's NoisyRecord does.
+    It reads an array, whose reads fill the walk's buffer and come up short
+    at its end as a trial's NoisyRecord's do, or passes them on to a record.
     """
 
-    def __init__(self, values: np.ndarray):
-        self.values, self.passes = values, []
-        self.shape = values.shape
+    def __init__(self, source):
+        self.source, self.passes = source, []
+        self.columns = source.columns if hasattr(source, "open") else source.shape[1]
 
     def open(self):
         reads = []
         self.passes.append(reads)
+        inner = self.source.open() if hasattr(self.source, "open") else self._copy
 
         def read(a, b, out):
-            reads.append((a, b))
-            out[...] = self.values[a:b]
+            reads.append((a, b, inner(a, b, out)))
+            return reads[-1][2]
 
         return read
+
+    def _copy(self, a, b, out):
+        rows = self.source[a:b]
+        out[: len(rows)] = rows
+        return len(rows)
+
+
+def _check_pass(reads, n):
+    """A pass of an n-row record: reads from row 0 on, each where the last ended, all
+    whole but the last, which comes up short at row n."""
+    assert [a for a, _, _ in reads] == [0, *(a + k for a, _, k in reads[:-1])], reads
+    assert all(a < b for a, b, _ in reads), reads
+    assert [k < b - a for a, b, k in reads] == [False] * (len(reads) - 1) + [True], reads
+    assert reads[-1][0] + reads[-1][2] == n, reads
 
 
 @pytest.mark.parametrize("stride", [1, 3, 20, 21])
@@ -533,14 +552,10 @@ def test_design_reads_each_pass_forward_from_row_zero(monkeypatch, stride):
         unread[w : w + 20] = False
     assert unread[: offsets[-1]].any() == (stride == 21)
     for reads in record.passes:
-        starts = [a for a, _ in reads]
-        ends = [b for _, b in reads]
-        assert starts == [0, *ends[:-1]], reads
-        assert all(a < b for a, b in reads), reads
-        assert ends[-1] == len(y), reads
+        _check_pass(reads, len(y))
         times_read = np.zeros(len(y), int)
-        for a, b in reads:
-            times_read[a:b] += 1
+        for a, _, k in reads:
+            times_read[a : a + k] += 1
         assert np.all(times_read[unread] == 1), reads
     whole = assemble_design(y, bank, features, mu=50.0, stride=stride)
     assert design.n_windows == whole.n_windows
@@ -548,6 +563,87 @@ def test_design_reads_each_pass_forward_from_row_zero(monkeypatch, stride):
         assert np.array_equal(getattr(design, name), getattr(whole, name)), name
     for name, got in rows.items():
         assert np.array_equal(got, getattr(whole, name)), name
+
+
+#: (stride, n) at N = 10 in blocks of 64 windows (63 at stride 21, 50 at
+#: stride 25), by where the record's last row falls
+_ENDS = {
+    # after two whole blocks of 64 windows: the next read finds no row
+    "whole-block": (1, 147),
+    "inside-block": (1, 177),
+    # the one row that stride 2N + 1 leaves after the third block
+    "stride-gap": (21, 189),
+    # 3 of the 5 rows that stride 25 leaves after the second block
+    "inside-gap": (25, 98),
+    "first-block": (1, 50),
+}
+
+
+@pytest.mark.parametrize("stride, n", list(_ENDS.values()), ids=list(_ENDS))
+def test_a_pass_ends_at_its_first_short_read(tmp_path, monkeypatch, stride, n):
+    # arrays, trial records and files: the walk learns n at the read that
+    # comes up short, reads nothing after it, and sums the array's moments
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 64)
+    bank = build_split_bank("continuous", 10, 1e-3, 4)
+    features = lorenz_features(bank)
+    t = (np.arange(n) + 1) * 1e-3
+    states = np.column_stack([np.sin(t), np.cos(2 * t), t])
+    noisy = add_noise(states, 0.01, np.random.default_rng(4), np.empty_like(states))
+    path = tmp_path / "record.csv"
+    lines = (",".join(map(repr, row)) + "\n" for row in np.column_stack([t, noisy]).tolist())
+    path.write_text("t,z1,z2,z3\n" + "".join(lines))
+    drawn = []  # the rows and the generator of each of the trial record's draws
+
+    def recording_noise(states, eta, rng, out):
+        drawn.append((len(states), rng))
+        return add_noise(states, eta, rng, out)
+
+    monkeypatch.setattr(harness, "add_noise", recording_noise)
+    records = {
+        "array": (_RecordingRecord(states), states),
+        "trial": (_RecordingRecord(NoisyRecord(states, 0.01, 4)), noisy),
+        "csv": (_RecordingRecord(_CsvRecord(str(path), head=20)), noisy),
+    }
+    for name, (record, values) in records.items():
+        design = assemble_design(record, bank, features, mu=50.0, stride=stride)
+        want = assemble_design(values, bank, features, mu=50.0, stride=stride)
+        assert design.n_windows == want.n_windows == (n - 20) // stride + 1, name
+        for moment in ("xx", "xy", "zx", "zy"):
+            assert np.array_equal(getattr(design, moment), getattr(want, moment)), name
+        [reads] = record.passes
+        _check_pass(reads, n)
+    # the trial record drew n rows on one generator: one whole-record draw
+    whole = np.random.default_rng(4)
+    whole.standard_normal((n, 3))
+    assert sum(rows for rows, _ in drawn) == n
+    assert all(rng is drawn[0][1] for _, rng in drawn)
+    assert drawn[0][1].bit_generator.state == whole.bit_generator.state
+
+
+def test_designs_rebuild_their_rows_at_once():
+    # two threads read X of two designs, and each rebuild's feature map waits
+    # for the other's at a barrier, which breaks if one rebuild holds up the other
+    bank = build_split_bank("discrete", 10, 0.01, 4)
+    features = lorenz_features(bank)
+    barrier = threading.Barrier(2, timeout=5)
+
+    def design(seed):
+        calls = []
+
+        def waiting(w, s):
+            if calls:  # the rebuild, not the first pass
+                barrier.wait()
+            calls.append(w)
+            return features(w, s)
+
+        y = np.random.default_rng(seed).normal(size=(100, 3))
+        return assemble_design(y, bank, waiting, mu=50.0)
+
+    designs = [design(1), design(2)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        rows = list(pool.map(lambda d: d.X, designs))
+    for d, X in zip(designs, rows):
+        assert X is d.X and X.shape == (81, 6)
 
 
 @pytest.mark.parametrize("stride", [1, 3, 21])
