@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import GammaParams, corollary_rate, gamma, ideal_window, mc_check_gamma
 # Nothing here reads feature_map, assemble_design or the estimators; they stay
 # bound because bench/spans.py wraps them on this module (ROADMAP item 1).
-from .dynamics import feature_map, integrate
+from .dynamics import feature_map, forcing, integrate
 from .estimator import excitation_check, iv_estimate, ls_estimate
 from .harness import (
     ExperimentConfig,
@@ -34,7 +34,7 @@ from .harness import (
     write_csv,
 )
 from .polyfilter import FilterSpec, build_filter
-from .splitfilters import assemble_design, build_split_bank
+from .splitfilters import assemble_design, build_split_bank, window_times
 
 
 class CliError(ValueError):
@@ -162,11 +162,12 @@ class _CsvRecord:
     at the first read that parses fewer rows than it asks for. Every block
     is checked: values finite, and each time step, the one from the block
     before included, equal to the first step to a relative 1e-9. The first
-    `head` rows are parsed and checked here, so the faults of a file shorter
+    2 rows, which give t0 and h, are parsed and checked here. A pass's first
+    read parses and checks a whole block, so the faults of a file shorter
     than one window are reported before its length.
     """
 
-    def __init__(self, path: str, head: int):
+    def __init__(self, path: str):
         self.path = path
         # utf-8-sig drops a leading byte-order mark; header names may be padded
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -180,7 +181,7 @@ class _CsvRecord:
             else:
                 raise CliError(f"{path} needs columns z1..z3 or x1..x3 (found {fields})")
             self.usecols = [fields.index(c) for c in self.names]
-            first = self._parse(fh, 0, head)
+            first = self._parse(fh, 0, 2)
         if len(first) < 2:
             raise CliError(f"{path} has {len(first)} data rows; need at least 2")
         self.columns = len(self.names) - 1
@@ -271,11 +272,12 @@ def _cmd_estimate(args) -> dict:
             )
     cfg = _resolve_config(args)
     keep_block_memory()
-    record = _CsvRecord(args.input, head=2 * cfg.N)
+    record = _CsvRecord(args.input)
     # the file is authoritative for the step; its rows end where it does
     cfg = replace(cfg, h=record.h)
     bank = build_split_bank(cfg.mode, cfg.N, cfg.h, cfg.p)
-    result = asdict(estimate_series(record, cfg, bank, t0=record.t0))
+    drive = lambda w: forcing(window_times(bank, w, record.t0), cfg.forcing_freq)  # noqa: E731
+    result = asdict(estimate_series(record, cfg, bank, drive))
     for name in ("iv", "ls"):
         result[name]["theta"] = result[name]["theta"].tolist()
     if args.out:

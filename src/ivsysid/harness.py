@@ -18,6 +18,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -137,7 +138,7 @@ class SharedArtifacts:
     """Per-experiment state reused across every trial.
 
     drive is the forcing at the regression time of every window offset of a
-    trial's record, read-only (see trial_drive).
+    config.n-row record (see trial_drive); the reference and the trials read it.
     """
 
     trajectory: Trajectory
@@ -174,11 +175,12 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         )
         p_used = FALLBACK_P
         bank = build_split_bank(config.mode, config.N, config.h, p_used)
+    drive = trial_drive(config, bank)
     if config.mode == "continuous":
         reference = true_theta()
         kind = "ground_truth"
     else:
-        reference = pseudo_true_discrete(config, trajectory, bank)
+        reference = pseudo_true_discrete(config, trajectory, bank, drive.__getitem__)
         kind = "pseudo_true"
     return SharedArtifacts(
         trajectory=trajectory,
@@ -187,18 +189,18 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         reference_kind=kind,
         p_requested=config.p,
         p_used=p_used,
-        drive=trial_drive(config, bank),
+        drive=drive,
     )
 
 
 def trial_drive(config: ExperimentConfig, bank: SplitFilterBank) -> np.ndarray:
     """The forcing at each window offset's regression time, read-only.
 
-    It is the same in every trial: one value per offset whatever the
-    stride (a trial reads every stride-th), 0.8 MB at n = 1e5.
+    Row 0 sits at t = h, as integrate places it. The column is the same in
+    every trial: one value per offset whatever the stride, 0.8 MB at n = 1e5.
     """
     windows = slice(0, config.n - 2 * config.N + 1)
-    drive = forcing(window_times(bank, windows), config.forcing_freq)
+    drive = forcing(window_times(bank, windows, config.h), config.forcing_freq)
     drive.flags.writeable = False
     return drive
 
@@ -210,31 +212,18 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 
 
 def estimate_series(
-    values,
-    config: ExperimentConfig,
-    bank: SplitFilterBank,
-    t0: float | None = None,
-    drive: np.ndarray | None = None,
+    values, config: ExperimentConfig, bank: SplitFilterBank, drive: Callable[[slice], np.ndarray]
 ) -> SeriesEstimate:
     """Filter one (n, 3) series with bank and solve IV and LS on its moments.
 
     values is an (n, 3) array or a record, such as a trial's NoisyRecord:
     an object of 3 columns whose open() starts a forward pass of reads that
-    ends at the first short one (see assemble_design). The features of a
-    block of window offsets w read the drive as drive[w] when drive is
-    given: one entry per window offset of a config.n-row record
-    (SharedArtifacts.drive; other lengths raise ValueError). Without it they
-    compute forcing(window_times(bank, w, t0)): sample i sits at time
-    t0 + i * h, with t0 = h when None (the simulator's grid).
+    ends at the first short one (see assemble_design). drive(w) gives the
+    forcing at the window offsets of w, a slice(w0, w1, stride), for the
+    features of that block: a trial reads SharedArtifacts.drive[w], and
+    estimate computes the sine at window_times(bank, w, t0).
     """
-    if drive is None:
-        f = config.forcing_freq
-        feats = lambda w, s: feature_map(forcing(window_times(bank, w, t0), f), s)  # noqa: E731
-    else:
-        windows = config.n - 2 * bank.base_window + 1
-        if len(drive) != windows:
-            raise ValueError(f"drive has {len(drive)} entries for {windows} window offsets")
-        feats = lambda w, s: feature_map(drive[w], s)  # noqa: E731
+    feats = lambda w, s: feature_map(drive(w), s)  # noqa: E731
     design = assemble_design(values, bank, feats, config.mu, config.stride)
     iv = iv_estimate(design, IvConfig(lam=config.lam, mu=config.mu))
     return SeriesEstimate(
@@ -246,7 +235,7 @@ def estimate_series(
 
 
 def pseudo_true_discrete(
-    config: ExperimentConfig, trajectory: Trajectory, bank: SplitFilterBank
+    config: ExperimentConfig, trajectory: Trajectory, bank: SplitFilterBank, drive: Callable
 ) -> np.ndarray:
     """Zero-noise least-squares reference for the discrete-time model.
 
@@ -254,10 +243,11 @@ def pseudo_true_discrete(
     closed-form parameter matrix exists; the convention is to measure
     estimation error against the value the least-squares estimator converges
     to on the noiseless `trajectory`, filtered with the experiment's `bank`.
+    drive is estimate_series's.
     """
     if config.mode != "discrete":
         raise ValueError("pseudo-true reference applies to discrete mode only")
-    return estimate_series(trajectory.states, config, bank).ls.theta
+    return estimate_series(trajectory.states, config, bank, drive).ls.theta
 
 
 @dataclass(frozen=True)
@@ -298,11 +288,11 @@ def run_trial(
     """One seeded noise draw through the full pipeline, both estimators.
 
     The design draws the noise into its block buffer as it reads the record,
-    so a trial holds one block of it, not the whole noisy record, and it
-    reads the drive from shared instead of computing it.
+    so a trial holds one block of it, not the whole noisy record. It reads
+    the drive from shared, whose length run_monte_carlo checks.
     """
     record = trial_record(config, trial_index, shared.trajectory.states)
-    estimate = estimate_series(record, config, shared.bank, drive=shared.drive)
+    estimate = estimate_series(record, config, shared.bank, shared.drive.__getitem__)
     return TrialResult(trial_index, estimate)
 
 
@@ -340,8 +330,13 @@ def run_monte_carlo(
 
     Trials are independent given their seeds, so any worker count produces
     identical per-trial output. It sets the process's malloc thresholds
-    first (see keep_block_memory).
+    first (see keep_block_memory). A shared drive without one entry per
+    window offset of config raises ValueError before any trial runs.
     """
+    windows = config.n - 2 * config.N + 1
+    if len(shared.drive) != windows:
+        raise ValueError(f"drive has {len(shared.drive)} entries for {windows} window offsets")
+
     def one(i: int) -> TrialResult:
         try:
             return run_trial(config, i, shared)

@@ -253,17 +253,13 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     return out.transpose(0, 2, 1)
 
 
-def window_times(
-    bank: SplitFilterBank, windows: slice, t0: float | None = None
-) -> np.ndarray:
+def window_times(bank: SplitFilterBank, windows: slice, t0: float) -> np.ndarray:
     """Regression times t0 + (w + N - 1/2) * h of the window offsets w in windows.
 
     windows is a slice(w0, w1, stride), as assemble_design hands each
-    block's offsets to its feature map. t0, the time of row 0, is h when
-    None (the simulator's grid).
+    block's offsets to its feature map, and t0 is the time of row 0.
     """
     N, h = bank.base_window, bank.base_step
-    t0 = h if t0 is None else t0
     return (np.arange(windows.start, windows.stop, windows.step) + N - 0.5) * h + t0
 
 
@@ -305,16 +301,17 @@ def assemble_design(
     The offsets are walked in blocks of about _BLOCK_WINDOWS, each starting
     at a multiple of stride, and each block's moments are added in order.
     A pass holds one buffer of block + 2N - 1 rows: each block moves the
-    rows it shares with the block before to the front and has read fill the
-    rest, up to the rows a whole block reads. The rows that a stride wider
-    than 2N leaves between blocks are read into it and dropped, and so are
-    the rows after the last window, which the read that comes up short takes
-    in. feature_map must broadcast over a leading axis: given the block's
-    slice of offsets and (2, b, d_y) states it returns (2, b, d_phi)
-    features. It is called once per block, on the hat and the tilde states
-    together. What an offset stands for (a regression time, see
-    window_times, or an entry of a column the caller holds) is the feature
-    map's business.
+    rows it shares with the block before to the front and has one read fill
+    the rest, up to the rows a whole block reads. After a stride wider than
+    2N nothing is shared, and that read starts at the rows the stride leaves
+    between blocks, which the block skips; it spans block rows, so the buffer
+    still fits. The rows after the last window, which the read that comes up
+    short takes in, are dropped too. feature_map must broadcast over a
+    leading axis: given the block's slice of offsets and (2, b, d_y) states
+    it returns (2, b, d_phi) features. It is called once per block, on the
+    hat and the tilde states together. What an offset stands for (a
+    regression time, see window_times, or an entry of a column the caller
+    holds) is the feature map's business.
 
     The design keeps the walk: reading its X, Y or Z runs it again, which
     must read the same rows, and gives the rows whose moments were summed.
@@ -353,12 +350,9 @@ def assemble_design(
         pos = 0  # rows read so far
         for w0 in itertools.count(0, block):
             stop = w0 + block - 1 - (block - 1) % stride + span  # one past a whole block's rows
-            if pos < w0:
-                pos += read(pos, w0, buf[: w0 - pos])  # rows no window reads
-            else:
-                buf[: pos - w0] = buf[block : pos - w0 + block]  # rows the last block read
-            if pos >= w0:
-                pos += read(pos, stop, buf[pos - w0 : stop - w0])
+            lo = min(pos, w0)  # buf[0] holds row lo
+            buf[: pos - lo] = buf[block : pos - lo + block]  # rows the last block read
+            pos += read(pos, stop, buf[pos - lo : stop - lo])
             w1 = w0 + block if pos == stop else pos - span + 1  # a short read: pos rows in all
             if w1 <= w0:
                 if w0:
@@ -366,7 +360,7 @@ def assemble_design(
                 raise EmptyDesignError(f"need at least {span} samples for one window, got {pos}")
             end = w1 - 1 - (w1 - 1 - w0) % stride + span  # one past the last row a window reads
             # nothing here holds a block's rows past add
-            add(*rows(buf[: end - w0], slice(w0, w1, stride)))
+            add(*rows(buf[w0 - lo : end - lo], slice(w0, w1, stride)))
             if pos < stop:
                 return
 

@@ -15,7 +15,7 @@ from ivsysid.dynamics import (
     integrate,
     true_theta,
 )
-from ivsysid.harness import ExperimentConfig, pseudo_true_discrete
+from ivsysid.harness import ExperimentConfig, pseudo_true_discrete, trial_drive
 from ivsysid.splitfilters import build_split_bank
 
 
@@ -197,7 +197,7 @@ def test_pseudo_true_first_order_trend():
         )
         trajectory = integrate(config.x0, h, config.n, config.substeps)
         bank = build_split_bank("discrete", config.N, h, config.p)
-        pt = pseudo_true_discrete(config, trajectory, bank)
+        pt = pseudo_true_discrete(config, trajectory, bank, trial_drive(config, bank).__getitem__)
         expected = lift + h * theta0
         errs.append(np.linalg.norm(pt - expected, "fro") / h)
     assert errs[1] < 0.2 * errs[0]
@@ -209,7 +209,7 @@ def test_pseudo_true_rejects_continuous_mode():
     trajectory = integrate(config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("continuous", config.N, config.h, config.p)
     with pytest.raises(ValueError, match="discrete mode only"):
-        pseudo_true_discrete(config, trajectory, bank)
+        pseudo_true_discrete(config, trajectory, bank, trial_drive(config, bank).__getitem__)
 
 
 def test_discrete_setup_integrates_once(monkeypatch):
@@ -221,7 +221,8 @@ def test_discrete_setup_integrates_once(monkeypatch):
     config = harness.ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
     trajectory = integrate(config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("discrete", config.N, config.h, config.p)
-    expected = pseudo_true_discrete(config, trajectory, bank)
+    drive = trial_drive(config, bank).__getitem__
+    expected = pseudo_true_discrete(config, trajectory, bank, drive)
     calls = []
     monkeypatch.setattr(
         harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ivsysid import harness, splitfilters
 from ivsysid.bounds import ideal_window
 from ivsysid.cli import _resolve_config, build_parser
-from ivsysid.dynamics import Trajectory, add_noise, true_theta
+from ivsysid.dynamics import Trajectory, add_noise, forcing, true_theta
 from ivsysid.estimator import Estimate, SingularDesignError
 from ivsysid.harness import (
     ExperimentConfig,
@@ -43,7 +43,7 @@ from ivsysid.harness import (
     write_trials_csv,
 )
 from ivsysid.polyfilter import FilterRankError
-from ivsysid.splitfilters import assemble_design, build_split_bank
+from ivsysid.splitfilters import assemble_design, build_split_bank, window_times
 
 SMALL = ExperimentConfig(
     mode="continuous", n=2000, N=20, p=4, eta=0.05, trials=4, master_seed=7, substeps=2
@@ -417,10 +417,11 @@ def test_streamed_trial_equals_whole_record(small_shared, monkeypatch, block, st
 
     monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", block)
     monkeypatch.setattr(harness, "assemble_design", capture)
+    drive = small_shared.drive.__getitem__
     for i in range(2):
         streamed = run_trial(config, i, small_shared).estimate
         values = _whole_record(config, i, small_shared)
-        _assert_same_estimate(streamed, estimate_series(values, config, small_shared.bank))
+        _assert_same_estimate(streamed, estimate_series(values, config, small_shared.bank, drive))
         trial_design, whole = designs[-2:]  # both went through capture
         # the trial design's rebuilt rows restart the draw and read the same record
         for name in ("X", "Y", "Z"):
@@ -428,14 +429,15 @@ def test_streamed_trial_equals_whole_record(small_shared, monkeypatch, block, st
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
-def test_drive_of_the_wrong_length_is_refused(small_shared, extra):
+def test_drive_of_the_wrong_length_is_refused(small_shared, monkeypatch, extra):
     # one entry per window offset of the series; a column that does not fit
-    # would put each window's drive at another window
-    states = small_shared.trajectory.states
+    # would put each window's drive at another window. The run refuses it
+    # once, before any trial, not in every trial
     windows = SMALL.n - 2 * SMALL.N + 1
-    drive = np.resize(small_shared.drive, windows + extra)
+    shared = replace(small_shared, drive=np.resize(small_shared.drive, windows + extra))
+    monkeypatch.setattr(harness, "run_trial", lambda *a: pytest.fail("a trial ran"))
     with pytest.raises(ValueError, match=f"drive has {windows + extra} entries for {windows} "):
-        estimate_series(states, SMALL, small_shared.bank, drive=drive)
+        run_monte_carlo(SMALL, shared)
     assert len(small_shared.drive) == windows
 
 
@@ -498,10 +500,11 @@ def test_array_estimate_holds_one_block():
     )
     config = ExperimentConfig(mode="discrete", n=n, trials=1)
     bank = build_split_bank("discrete", 100, h, 75)
-    estimate_series(states, config, bank)  # fills the bank's spectra cache
+    drive = trial_drive(config, bank).__getitem__
+    estimate_series(states, config, bank, drive)  # fills the bank's spectra cache
     tracemalloc.start()
     try:
-        result = estimate_series(states, config, bank)
+        result = estimate_series(states, config, bank, drive)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -666,19 +669,27 @@ def test_discrete_experiment_uses_pseudo_true():
 
 def test_discrete_setup_builds_one_bank(monkeypatch):
     # the reference reuses the experiment's bank: three stencils, not six, and
-    # it is the LS estimate of the one estimate stage on the noiseless path
-    from ivsysid import splitfilters
-
-    cfg = ExperimentConfig(mode="discrete", n=1200, N=8, p=4, trials=1, substeps=2)
+    # it is the LS estimate of the one estimate stage on the noiseless path.
+    # It reads the trials' drive column, which gives the bits of the sine
+    # computed block by block at the windows' times
     calls = []
     real = splitfilters.build_filter
     monkeypatch.setattr(
         splitfilters, "build_filter", lambda spec: calls.append(spec) or real(spec)
     )
-    shared = prepare_shared(cfg)
-    assert len(calls) == 3
-    expected = estimate_series(shared.trajectory.states, cfg, shared.bank).ls.theta
-    assert shared.reference.tobytes() == expected.tobytes()
+    monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", 64)
+    for stride in (1, 3):
+        cfg = ExperimentConfig(
+            mode="discrete", n=1200, N=8, p=4, trials=1, substeps=2, stride=stride
+        )
+        calls.clear()
+        shared = prepare_shared(cfg)
+        assert len(calls) == 3
+        states, bank = shared.trajectory.states, shared.bank
+        sine = lambda w: forcing(window_times(bank, w, cfg.h), cfg.forcing_freq)  # noqa: E731
+        for drive in (shared.drive.__getitem__, sine):
+            expected = estimate_series(states, cfg, bank, drive).ls.theta
+            assert shared.reference.tobytes() == expected.tobytes(), stride
 
 
 def test_eta_defaults_by_mode():

@@ -32,13 +32,17 @@ identity_features = lambda w, s: s  # noqa: E731
 
 
 def lorenz_features(bank, t0=None, f=1.0):
-    """The Lorenz features of the windows at the offsets w, driven at their regression times."""
+    """The Lorenz features of the windows at the offsets w, driven at their regression times.
+
+    Row 0 sits at t0, or at t = h when t0 is None (the simulator's grid).
+    """
+    t0 = bank.base_step if t0 is None else t0
     return lambda w, s: feature_map(forcing(window_times(bank, w, t0), f), s)
 
 
 def all_times(bank, n, stride=1):
     """The regression times of every window of an n-sample series (row 0 at t = h)."""
-    return window_times(bank, slice(0, n - 2 * bank.base_window + 1, stride))
+    return window_times(bank, slice(0, n - 2 * bank.base_window + 1, stride), bank.base_step)
 
 
 def test_bank_structure_continuous():
@@ -195,7 +199,7 @@ def test_design_shapes_and_times():
     assert design.Z.shape == (n_prime, 2)
     assert design.window_span == 2 * N
     expected_times = (np.arange(0, 16, stride) + N + 0.5) * h
-    np.testing.assert_allclose(window_times(bank, offsets[0]), expected_times)
+    np.testing.assert_allclose(window_times(bank, offsets[0], h), expected_times)
 
 
 def test_empty_design_error():
@@ -602,7 +606,7 @@ def test_a_pass_ends_at_its_first_short_read(tmp_path, monkeypatch, stride, n):
     records = {
         "array": (_RecordingRecord(states), states),
         "trial": (_RecordingRecord(NoisyRecord(states, 0.01, 4)), noisy),
-        "csv": (_RecordingRecord(_CsvRecord(str(path), head=20)), noisy),
+        "csv": (_RecordingRecord(_CsvRecord(str(path))), noisy),
     }
     for name, (record, values) in records.items():
         design = assemble_design(record, bank, features, mu=50.0, stride=stride)
