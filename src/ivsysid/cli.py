@@ -103,13 +103,13 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> dict:
     cfg = _resolve_config(args)
-    traj = integrate(cfg.x0, cfg.h, cfg.n, cfg.substeps, cfg.forcing_freq)
+    states = integrate(cfg.x0, cfg.h, cfg.n, cfg.substeps, cfg.forcing_freq)
     header = ["t", "x1", "x2", "x3"]
-    columns = [traj.times, *traj.states.T]
+    columns = [np.arange(1, cfg.n + 1) * cfg.h, *states.T]  # row i at t = (i + 1) h
     if cfg.eta > 0:
         # trial 0's record, as the benchmark's first trial measures it
-        noisy = np.empty_like(traj.states)
-        trial_record(cfg, 0, traj.states).open()(0, cfg.n, noisy)
+        noisy = np.empty_like(states)
+        trial_record(cfg, 0, states).open()(0, cfg.n, noisy)
         header += ["z1", "z2", "z3"]
         columns += [*noisy.T]
     out = Path(args.out)
@@ -290,8 +290,16 @@ def _cmd_estimate(args) -> dict:
 
 
 def _cmd_benchmark(args) -> dict:
+    import os
+
+    # the pool starts up to min(workers, trials) threads, each with its block buffers
+    cpus = os.cpu_count() or 1
     if args.workers < 1:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
+    if args.workers > 4 * cpus:
+        raise CliError(
+            f"--workers must be <= {4 * cpus}, 4 per CPU on {cpus} CPUs, got {args.workers}"
+        )
     cfg = _resolve_config(args)
     return run_experiment(cfg, args.out, workers=args.workers)
 
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subs.add_parser("benchmark", help="run the Monte Carlo benchmark")
     _add_config_flags(bench)
     bench.add_argument("--out", required=True, help="output directory")
-    bench.add_argument("--workers", type=int, default=1, help="thread count (default 1)")
+    bench.add_argument("--workers", type=int, default=1, help="threads, <= 4 per CPU (default 1)")
     bench.set_defaults(func=_cmd_benchmark)
 
     bnd = subs.add_parser("bounds", help="evaluate moment bound and rate formulas")

@@ -10,7 +10,6 @@ sparse 6x3 theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,23 +30,6 @@ class DivergenceError(RuntimeError):
 #: Lorenz parameters sigma, rho and beta of the benchmark system, read by both
 #: integrate and true_theta.
 _SIGMA, _RHO, _BETA = 10.0, 28.0, 8.0 / 3.0
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Noiseless states on the grid times[i] = (i + 1) * h."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        if self.states.shape != (self.times.shape[0], 3):
-            raise ValueError("states must be (n, 3) aligned with times")
-        steps = np.diff(self.times)
-        if steps.size and not (
-            np.all(steps > 0) and np.allclose(steps, steps[0], rtol=1e-9)
-        ):
-            raise ValueError("times must increase with a constant step")
 
 
 def forcing(t, f: float = 1.0) -> np.ndarray:
@@ -92,8 +74,8 @@ def integrate(
     n: int,
     substeps: int = 1,
     forcing_freq: float = 1.0,
-) -> Trajectory:
-    """Fixed-step classical 4th-order integration from x0 at t = 0.
+) -> np.ndarray:
+    """Fixed-step classical 4th-order integration from x0 at t = 0: the (n, 3) noiseless states.
 
     The drive on the third component is sin(2*pi*forcing_freq*t).
     Each output step of length h is integrated with `substeps` internal
@@ -147,9 +129,7 @@ def integrate(
         states[i, 0] = x1
         states[i, 1] = x2
         states[i, 2] = x3
-
-    times = np.arange(1, n + 1) * h
-    return Trajectory(times=times, states=states)
+    return states
 
 
 def add_noise(

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import ideal_window
-from .dynamics import Trajectory, add_noise, feature_map, forcing, integrate, true_theta
+from .dynamics import add_noise, feature_map, forcing, integrate, true_theta
 from .estimator import Estimate, IvConfig, excitation_check, iv_estimate, ls_estimate
 from .polyfilter import FilterConditioningError, FilterRankError
 from .splitfilters import SplitFilterBank, assemble_design, build_split_bank, window_times
@@ -137,21 +137,21 @@ class SummaryStats:
 class SharedArtifacts:
     """Per-experiment state reused across every trial.
 
-    drive is the forcing at the regression time of every window offset of a
+    states are the (n, 3) noiseless states that integrate gives. drive is
+    the forcing at the regression time of every window offset of a
     config.n-row record (see trial_drive); the reference and the trials read it.
     """
 
-    trajectory: Trajectory
+    states: np.ndarray
     bank: SplitFilterBank
     reference: np.ndarray
     reference_kind: str
-    p_requested: int
     p_used: int
     drive: np.ndarray
 
 
 def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
-    """Integrate the trajectory, build the bank, resolve the reference and the drive.
+    """Integrate the states, build the bank, resolve the reference and the drive.
 
     If the configured exactness degree cannot be built on the split window
     (rank or conditioning failure), fall back to FALLBACK_P with a warning.
@@ -160,7 +160,7 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         raise ValueError(
             f"n={config.n} samples do not fill one window of 2N={2 * config.N} samples"
         )
-    trajectory = integrate(config.x0, config.h, config.n, config.substeps, config.forcing_freq)
+    states = integrate(config.x0, config.h, config.n, config.substeps, config.forcing_freq)
     p_used = config.p
     try:
         bank = build_split_bank(config.mode, config.N, config.h, config.p)
@@ -180,14 +180,13 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         reference = true_theta()
         kind = "ground_truth"
     else:
-        reference = pseudo_true_discrete(config, trajectory, bank, drive.__getitem__)
+        reference = pseudo_true_discrete(config, states, bank, drive.__getitem__)
         kind = "pseudo_true"
     return SharedArtifacts(
-        trajectory=trajectory,
+        states=states,
         bank=bank,
         reference=reference,
         reference_kind=kind,
-        p_requested=config.p,
         p_used=p_used,
         drive=drive,
     )
@@ -235,19 +234,19 @@ def estimate_series(
 
 
 def pseudo_true_discrete(
-    config: ExperimentConfig, trajectory: Trajectory, bank: SplitFilterBank, drive: Callable
+    config: ExperimentConfig, states: np.ndarray, bank: SplitFilterBank, drive: Callable
 ) -> np.ndarray:
     """Zero-noise least-squares reference for the discrete-time model.
 
     The discrete pipeline estimates the one-step transition map, for which no
     closed-form parameter matrix exists; the convention is to measure
     estimation error against the value the least-squares estimator converges
-    to on the noiseless `trajectory`, filtered with the experiment's `bank`.
+    to on the noiseless `states`, filtered with the experiment's `bank`.
     drive is estimate_series's.
     """
     if config.mode != "discrete":
         raise ValueError("pseudo-true reference applies to discrete mode only")
-    return estimate_series(trajectory.states, config, bank, drive).ls.theta
+    return estimate_series(states, config, bank, drive).ls.theta
 
 
 @dataclass(frozen=True)
@@ -291,7 +290,7 @@ def run_trial(
     so a trial holds one block of it, not the whole noisy record. It reads
     the drive from shared, whose length run_monte_carlo checks.
     """
-    record = trial_record(config, trial_index, shared.trajectory.states)
+    record = trial_record(config, trial_index, shared.states)
     estimate = estimate_series(record, config, shared.bank, shared.drive.__getitem__)
     return TrialResult(trial_index, estimate)
 
@@ -302,11 +301,13 @@ def keep_block_memory() -> None:
     glibc starts its mmap and trim thresholds at 128 KB and raises them only
     when a large mapped block is freed, which no walk does. Below them it
     returns an arena's freed top to the system after a block of windows,
-    and the next block faults it back in: about 420 minor faults per
-    published trial on two workers (10-15 % fewer trials per second), and
-    about 80 per many-short trial on one. 2 and 4 MiB sit above a block's
-    temporaries at 4,096 windows (a published trial's traced peak is
-    1.0 MiB per worker). Without glibc's mallopt this does nothing.
+    and the next block faults it back in. Short records pay for it: a
+    continuous trial at n = 4,000 on one worker took about 193 minor faults
+    and ran 594-717 trials/s without the thresholds, against 1 fault and
+    985-1,002 trials/s with them (2-core x86_64, numpy 2.4). A published
+    discrete trial takes about 12 either way. 2 and 4 MiB sit above a
+    block's temporaries at 4,096 windows (a published trial's traced peak
+    is 1.0 MiB per worker). Without glibc's mallopt this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -561,7 +562,7 @@ def summary_dict(
     config_dict["x0"] = list(config.x0)  # JSON round-trips tuples as lists
     return {
         "config": config_dict,
-        "p_requested": shared.p_requested,
+        "p_requested": config.p,
         "p_used": shared.p_used,
         "reference": shared.reference_kind,
         "reference_norm": float(np.linalg.norm(shared.reference)),

@@ -123,16 +123,14 @@ class DesignMatrices:
 
     Row r comes from one window: X holds features of the hat-filtered state,
     Y the hat-filtered response and Z the truncated features of the
-    tilde-filtered state. Rows whose windows start at least window_span
-    offsets apart share no raw sample.
+    tilde-filtered state.
 
     The estimators read only the moments X'X, X'Y, Z'X and Z'Y.
     DesignMatrices(X=, Y=, Z=, times=, window_span=) forms them from the
-    given rows and keeps times, their regression times, as given.
-    assemble_design forms them from one run of its block walk and keeps no
-    row, and its times is None. Reading X, Y or Z runs the design's walk
-    again and keeps the concatenated blocks, the rows whose moments were
-    summed.
+    given rows and keeps neither times nor window_span. assemble_design
+    forms them from one run of its block walk and keeps no row. Reading X,
+    Y or Z runs the design's walk again and keeps the concatenated blocks,
+    the rows whose moments were summed.
     """
 
     def __init__(
@@ -147,17 +145,11 @@ class DesignMatrices:
             raise ValueError(
                 f"inconsistent design shapes X{X.shape}, Y{Y.shape}, Z{Z.shape}"
             )
-        self._sum(lambda add: add(X, Y, Z), window_span)
-        self.times = times
+        self._sum(lambda add: add(X, Y, Z))
 
-    @classmethod
-    def _walked(cls, walk: Callable, window_span: int) -> DesignMatrices:
+    def _sum(self, walk: Callable) -> DesignMatrices:
         """The moments of one run of walk(add), which calls add(X, Y, Z) once per block."""
-        return cls.__new__(cls)._sum(walk, window_span)
-
-    def _sum(self, walk: Callable, window_span: int) -> DesignMatrices:
-        self.window_span, self.times, self.n_windows, self._walk = window_span, None, 0, walk
-        self._kept = None
+        self.n_windows, self._walk, self._kept = 0, walk, None
         walk(self._add)
         return self
 
@@ -364,4 +356,4 @@ def assemble_design(
             if pos < stop:
                 return
 
-    return DesignMatrices._walked(walk, span)
+    return DesignMatrices.__new__(DesignMatrices)._sum(walk)

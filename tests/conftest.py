@@ -13,5 +13,5 @@ settings.load_profile("ivsysid")
 
 @pytest.fixture(scope="session")
 def lorenz_trajectory():
-    # the benchmark-sized noiseless path; integrated once per test session
+    # the benchmark-sized noiseless (n, 3) states; integrated once per test session
     return integrate((-8.0, 8.0, 27.0), 1e-3, 100_000, substeps=10)

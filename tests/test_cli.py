@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -53,8 +54,9 @@ def test_simulate_noiseless(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "x1", "x2", "x3"]
     assert len(rows) == 51
-    assert float(rows[1][0]) == pytest.approx(1e-3)
-    assert float(rows[50][0]) == pytest.approx(50e-3)
+    # row i sits at t = (i + 1) h, so the initial condition is not a row
+    assert float(rows[1][0]) == 1e-3
+    assert float(rows[50][0]) == 50 * 1e-3
 
 
 def test_simulate_noise_is_seeded(tmp_path, capsys):
@@ -188,10 +190,10 @@ def test_estimate_rejects_nonuniform_grid(tmp_path, capsys):
 def test_estimate_honours_time_origin(tmp_path, capsys):
     # a noiseless record whose first sample sits at t = 0.251, not at h
     h, skip, n = 1e-3, 250, 20_000
-    traj = integrate((-8.0, 8.0, 27.0), h, skip + n, substeps=10)
+    states = integrate((-8.0, 8.0, 27.0), h, skip + n, substeps=10)
     path = tmp_path / "late.csv"
     np.savetxt(
-        path, np.column_stack([traj.times, traj.states])[skip:],
+        path, np.column_stack([np.arange(1, skip + n + 1) * h, states])[skip:],
         fmt="%.17g", delimiter=",", header="t,x1,x2,x3", comments="",
     )
     rc, out, err = run_cli(capsys, "estimate", "--mode", "continuous", "--input", str(path))
@@ -515,20 +517,38 @@ def test_benchmark_failure_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("workers", ["0", "-3", "9"])
 def test_benchmark_rejects_workers_below_one(tmp_path, capsys, monkeypatch, workers):
+    # and above 4 per CPU: the pool would start a thread for each pending trial
     import ivsysid.cli as cli
 
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran the benchmark"))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / "d"
     rc, _, err = run_cli(
         capsys, "benchmark", "--mode", "continuous", "--workers", workers, "--out", str(out)
     )
     assert rc == 1
-    assert parse_json(err)["error"] == {
-        "type": "CliError", "message": f"--workers must be >= 1, got {workers}"
-    }
+    message = (
+        f"--workers must be >= 1, got {workers}" if int(workers) < 1
+        else f"--workers must be <= 8, 4 per CPU on 2 CPUs, got {workers}"
+    )
+    assert parse_json(err)["error"] == {"type": "CliError", "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [None, 2])
+def test_benchmark_takes_up_to_four_workers_per_cpu(tmp_path, capsys, monkeypatch, cpus):
+    # os.cpu_count() may not know, and counts as 1 then
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, out, workers: ran.append(workers) or {})
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rc, _, err = run_cli(
+        capsys, "benchmark", "--mode", "continuous", "--workers", str(4 * (cpus or 1)),
+        "--out", str(tmp_path),
+    )
+    assert rc == 0, err
+    assert ran == [4 * (cpus or 1)]
 
 
 def test_estimate_rejects_file_shorter_than_a_window(tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_single_step_matches_handrolled_rk4():
     x0 = np.array([-8.0, 8.0, 27.0])
     h = 0.01
     for f in (1.0, 3.0):
-        traj = integrate(x0, h, 1, substeps=1, forcing_freq=f)
+        states = integrate(x0, h, 1, substeps=1, forcing_freq=f)
 
         k1 = lorenz_rhs(0.0, x0, f)
         k2 = lorenz_rhs(h / 2, x0 + (h / 2) * k1, f)
@@ -100,8 +100,7 @@ def test_single_step_matches_handrolled_rk4():
         k4 = lorenz_rhs(h, x0 + h * k3, f)
         expected = x0 + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        np.testing.assert_allclose(traj.states[0], expected, rtol=1e-15, atol=1e-14)
-        assert traj.times[0] == h
+        np.testing.assert_allclose(states[0], expected, rtol=1e-15, atol=1e-14)
 
 
 def test_fourth_order_self_convergence():
@@ -110,15 +109,15 @@ def test_fourth_order_self_convergence():
     # chaotic error growth inflates the ratio at coarse steps, so measure
     # well inside the asymptotic regime
     x0 = (-8.0, 8.0, 27.0)
-    ends = [integrate(x0, 1.0, 1, substeps=m).states[-1] for m in (320, 640, 1280)]
+    ends = [integrate(x0, 1.0, 1, substeps=m)[-1] for m in (320, 640, 1280)]
     coarse = np.linalg.norm(ends[0] - ends[1])
     fine = np.linalg.norm(ends[1] - ends[2])
     assert 12.0 <= coarse / fine <= 20.0
 
 
 def test_trajectory_stays_on_attractor(lorenz_trajectory):
-    assert np.abs(lorenz_trajectory.states).max() < 100.0
-    assert lorenz_trajectory.states.shape == (100_000, 3)
+    assert np.abs(lorenz_trajectory).max() < 100.0
+    assert lorenz_trajectory.shape == (100_000, 3)
 
 
 def test_integrate_validation():
@@ -136,7 +135,7 @@ def test_divergence_reports_step():
 
 
 def test_add_noise_zero_eta_is_identity(lorenz_trajectory):
-    states = lorenz_trajectory.states[:100]
+    states = lorenz_trajectory[:100]
     noisy = add_noise(states, 0.0, np.random.default_rng(5), np.empty_like(states))
     assert np.array_equal(noisy, states)
 
@@ -144,7 +143,7 @@ def test_add_noise_zero_eta_is_identity(lorenz_trajectory):
 def test_add_noise_matches_normal_draws(lorenz_trajectory):
     # the in-place draw gives the bits of states + normal(0, sqrt(eta))
     eta, seed = 0.37, 2024
-    states = lorenz_trajectory.states
+    states = lorenz_trajectory
     noisy = add_noise(states, eta, np.random.default_rng(seed), np.empty_like(states))
     expected = states + np.random.default_rng(seed).normal(0.0, math.sqrt(eta), states.shape)
     assert np.array_equal(noisy, expected)
@@ -159,7 +158,7 @@ def test_add_noise_in_blocks_equals_one_draw(lorenz_trajectory, sizes, eta, seed
     # consecutive row blocks of any sizes on one generator give the bits of
     # one draw of all the rows: how a trial draws its record block by block
     bounds = np.cumsum([0, *sizes])
-    states = lorenz_trajectory.states[: bounds[-1]]
+    states = lorenz_trajectory[: bounds[-1]]
     whole = add_noise(states, eta, np.random.default_rng(seed), np.empty_like(states))
     rng = np.random.default_rng(seed)
     blocks = [
@@ -171,11 +170,11 @@ def test_add_noise_in_blocks_equals_one_draw(lorenz_trajectory, sizes, eta, seed
 
 def test_add_noise_variance_and_determinism(lorenz_trajectory):
     eta = 0.1
-    states = lorenz_trajectory.states
+    states = lorenz_trajectory
     noisy = add_noise(states, eta, np.random.default_rng(123), np.empty_like(states))
     again = add_noise(states, eta, np.random.default_rng(123), np.empty_like(states))
     assert np.array_equal(noisy, again)
-    noise = noisy - lorenz_trajectory.states
+    noise = noisy - lorenz_trajectory
     assert noise.var() == pytest.approx(eta, rel=0.02)
     # whiteness: lag-1 autocorrelation within 3/sqrt(n)
     flat = noise[:, 0]
@@ -195,9 +194,9 @@ def test_pseudo_true_first_order_trend():
         config = ExperimentConfig(
             mode="discrete", n=round(4.0 / h), h=h, N=8, p=4, trials=1, substeps=4
         )
-        trajectory = integrate(config.x0, h, config.n, config.substeps)
+        states = integrate(config.x0, h, config.n, config.substeps)
         bank = build_split_bank("discrete", config.N, h, config.p)
-        pt = pseudo_true_discrete(config, trajectory, bank, trial_drive(config, bank).__getitem__)
+        pt = pseudo_true_discrete(config, states, bank, trial_drive(config, bank).__getitem__)
         expected = lift + h * theta0
         errs.append(np.linalg.norm(pt - expected, "fro") / h)
     assert errs[1] < 0.2 * errs[0]
@@ -206,23 +205,23 @@ def test_pseudo_true_first_order_trend():
 
 def test_pseudo_true_rejects_continuous_mode():
     config = ExperimentConfig(mode="continuous", n=300, h=5e-3, N=10, p=4, trials=1)
-    trajectory = integrate(config.x0, config.h, config.n, config.substeps)
+    states = integrate(config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("continuous", config.N, config.h, config.p)
     with pytest.raises(ValueError, match="discrete mode only"):
-        pseudo_true_discrete(config, trajectory, bank, trial_drive(config, bank).__getitem__)
+        pseudo_true_discrete(config, states, bank, trial_drive(config, bank).__getitem__)
 
 
 def test_discrete_setup_integrates_once(monkeypatch):
-    # prepare_shared hands its trajectory to the pseudo-true reference, which
+    # prepare_shared hands its states to the pseudo-true reference, which
     # gives the same value as on a path integrated here
     import ivsysid.dynamics as dynamics
     import ivsysid.harness as harness
 
     config = harness.ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
-    trajectory = integrate(config.x0, config.h, config.n, config.substeps)
+    states = integrate(config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("discrete", config.N, config.h, config.p)
     drive = trial_drive(config, bank).__getitem__
-    expected = pseudo_true_discrete(config, trajectory, bank, drive)
+    expected = pseudo_true_discrete(config, states, bank, drive)
     calls = []
     monkeypatch.setattr(
         harness, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k)

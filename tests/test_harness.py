@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import platform
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 from ivsysid import harness, splitfilters
 from ivsysid.bounds import ideal_window
 from ivsysid.cli import _resolve_config, build_parser
-from ivsysid.dynamics import Trajectory, add_noise, forcing, true_theta
-from ivsysid.estimator import Estimate, SingularDesignError
+from ivsysid.dynamics import add_noise, forcing, true_theta
+from ivsysid.estimator import Estimate, SingularDesignError, clip_singular_values
 from ivsysid.harness import (
     ExperimentConfig,
     InsufficientDataError,
@@ -400,7 +401,7 @@ def test_trial_diagnostics(small_shared):
 def _whole_record(config: ExperimentConfig, trial_index: int, shared) -> np.ndarray:
     # the oracle: one add_noise draw of the whole record on the trial's seed
     rng = np.random.default_rng(trial_seed(config.master_seed, trial_index))
-    states = shared.trajectory.states
+    states = shared.states
     return add_noise(states, config.eta, rng, np.empty_like(states))
 
 
@@ -449,7 +450,7 @@ def test_noisy_record_passes_equal_one_whole_record_draw(small_shared, sizes, se
     # any split of a pass into consecutive reads from row 0, each drawn into
     # the front of one reused buffer as the walk's reads are, and a second
     # pass read in one piece, give the rows of one whole-record draw
-    states = small_shared.trajectory.states[:150]
+    states = small_shared.states[:150]
     bounds = np.minimum(np.cumsum([0, *sizes, 150]), len(states))
     whole = add_noise(states, 0.3, np.random.default_rng(seed), np.empty_like(states))
     record = NoisyRecord(states, 0.3, seed)
@@ -473,9 +474,7 @@ def test_trial_memory_does_not_grow_with_n():
     bank = build_split_bank("discrete", 100, h, 75)
     config = ExperimentConfig(mode="discrete", n=n, trials=1)
     drive = trial_drive(config, bank)
-    shared = SharedArtifacts(
-        Trajectory(times, states), bank, true_theta(), "pseudo_true", 75, 75, drive
-    )
+    shared = SharedArtifacts(states, bank, true_theta(), "pseudo_true", 75, drive)
     run_trial(config, 0, shared)  # fills the bank's spectra cache
     tracemalloc.start()
     try:
@@ -517,7 +516,7 @@ import resource, sys
 from dataclasses import replace
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from ivsysid.dynamics import Trajectory, true_theta
+from ivsysid.dynamics import true_theta
 from ivsysid.harness import ExperimentConfig, SharedArtifacts, run_monte_carlo, trial_drive
 from ivsysid.splitfilters import build_split_bank
 
@@ -528,7 +527,7 @@ states = np.column_stack([10 * np.sin(2.1 * times), 12 * np.cos(1.3 * times), 25
 bank = build_split_bank("discrete", 100, h, 75)
 config = ExperimentConfig(mode="discrete", n=n, trials=trials)
 drive = trial_drive(config, bank)
-shared = SharedArtifacts(Trajectory(times, states), bank, true_theta(), "pseudo_true", 75, 75, drive)
+shared = SharedArtifacts(states, bank, true_theta(), "pseudo_true", 75, drive)
 run_monte_carlo(replace(config, trials=4), shared, workers)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run_monte_carlo(config, shared, workers)
@@ -540,9 +539,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / trials)
 @pytest.mark.parametrize("n, workers, trials", [(100_000, 2, 24), (4_000, 1, 200)])
 def test_trial_blocks_do_not_fault_in_memory(n, workers, trials):
     # in a fresh process, where nothing has raised glibc's thresholds yet:
-    # with the defaults its arenas were trimmed and refilled after every
-    # block, about 420 minor faults per trial at n = 1e5 on two workers and
-    # 80 at n = 4,000 on one
+    # with the defaults its arenas are trimmed and refilled after every
+    # block, about 193 minor faults per trial at n = 4,000 on one worker; at
+    # n = 1e5 on two workers a trial takes about 12 either way
     src = Path(harness.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", FAULT_PROBE, str(src), str(n), str(workers), str(trials)],
@@ -556,7 +555,9 @@ def test_unbuildable_degree_falls_back_with_warning():
     cfg = replace(SMALL, n=600, p=75, trials=2)
     with pytest.warns(RuntimeWarning, match="falling back"):
         shared = prepare_shared(cfg)
-    assert shared.p_requested == 75
+    results = run_monte_carlo(cfg, shared)
+    summary = summary_dict(cfg, shared, results, summarize(results, shared.reference))
+    assert (summary["p_requested"], summary["p_used"]) == (75, harness.FALLBACK_P)
     assert shared.p_used == harness.FALLBACK_P
     assert shared.bank.hat_G.spec.exactness_degree == harness.FALLBACK_P
 
@@ -654,6 +655,42 @@ def test_run_experiment_writes_reproducible_outputs(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_a_run_whose_clip_fires_reports_it(tmp_path, monkeypatch):
+    # lam = 1 never clips: every trial's sigma_min(Z'X) is far above it. Taken
+    # above the largest of them, lam clips every trial, and each clipped IV
+    # is clip(Z'X)^-1 Z'Y of its own design's moments
+    cfg = ExperimentConfig(
+        mode="continuous", n=2000, N=20, p=4, eta=0.05, trials=6, master_seed=2, substeps=2
+    )
+
+    def iv_rows(out):
+        with (out / "trials.csv").open(newline="") as fh:
+            return [row for row in csv.DictReader(fh) if row["estimator"] == "iv"]
+
+    plain = run_experiment(cfg, tmp_path / "plain")
+    assert plain["excitation"]["trials_with_clipping"] == 0
+    lam = 1.5 * max(float(row["sigma_min_zx"]) for row in iv_rows(tmp_path / "plain"))
+    designs = []
+
+    def capture(*args, **kwargs):
+        designs.append(assemble_design(*args, **kwargs))
+        return designs[-1]
+
+    monkeypatch.setattr(harness, "assemble_design", capture)
+    clipped = run_experiment(replace(cfg, lam=lam), tmp_path / "clipped")
+    rows = iv_rows(tmp_path / "clipped")
+    counts = [int(row["clipped_directions"]) for row in rows]
+    assert len(rows) == len(designs) == cfg.trials
+    assert all(count > 0 for count in counts), counts
+    assert clipped["excitation"]["trials_with_clipping"] == sum(c > 0 for c in counts)
+    assert clipped["excitation"]["all_satisfied"] is False
+    design = designs[0]  # trial 0's: one worker runs the trials in order
+    theta = np.array([float(rows[0][f"theta_{r}_{c}"]) for r in range(6) for c in range(3)])
+    expected = np.linalg.solve(clip_singular_values(design.zx, lam), design.zy)
+    np.testing.assert_allclose(theta.reshape(6, 3), expected, rtol=1e-10, atol=1e-12)
+    assert not np.allclose(expected, np.linalg.solve(design.zx, design.zy), rtol=1e-6)
+
+
 def test_discrete_experiment_uses_pseudo_true():
     cfg = ExperimentConfig(
         mode="discrete", n=1200, N=8, p=4, trials=3, master_seed=3, substeps=2
@@ -685,7 +722,7 @@ def test_discrete_setup_builds_one_bank(monkeypatch):
         calls.clear()
         shared = prepare_shared(cfg)
         assert len(calls) == 3
-        states, bank = shared.trajectory.states, shared.bank
+        states, bank = shared.states, shared.bank
         sine = lambda w: forcing(window_times(bank, w, cfg.h), cfg.forcing_freq)  # noqa: E731
         for drive in (shared.drive.__getitem__, sine):
             expected = estimate_series(states, cfg, bank, drive).ls.theta
@@ -755,7 +792,7 @@ def test_prepare_shared_rejects_series_shorter_than_a_window():
     for mode in ("continuous", "discrete"):
         with pytest.raises(ValueError, match=r"^n=39 samples do not fill one window of 2N=40"):
             prepare_shared(replace(cfg, mode=mode))
-    assert prepare_shared(replace(cfg, n=40)).trajectory.states.shape == (40, 3)
+    assert prepare_shared(replace(cfg, n=40)).states.shape == (40, 3)
 
 
 def test_one_window_discrete_setup_reports_zero_sigma_min():

@@ -193,11 +193,9 @@ def test_design_shapes_and_times():
     )
     n_prime = (35 - 2 * N) // stride + 1
     assert offsets == [slice(0, 16, stride)]
-    assert design.times is None
     assert design.X.shape == (n_prime, 2)
     assert design.Y.shape == (n_prime, 2)
     assert design.Z.shape == (n_prime, 2)
-    assert design.window_span == 2 * N
     expected_times = (np.arange(0, 16, stride) + N + 0.5) * h
     np.testing.assert_allclose(window_times(bank, offsets[0], h), expected_times)
 
