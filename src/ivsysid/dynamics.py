@@ -108,14 +108,14 @@ def integrate(
             k1b = x1 * (r - x3) - x2
             k1c = sin(tpf * t) + x1 * x2 - b * x3
             a1, b1, c1 = x1 + hdt * k1a, x2 + hdt * k1b, x3 + hdt * k1c
-            th = t + hdt
+            half = sin(tpf * (t + hdt))  # the drive at the half step, for k2 and k3
             k2a = s * (b1 - a1)
             k2b = a1 * (r - c1) - b1
-            k2c = sin(tpf * th) + a1 * b1 - b * c1
+            k2c = half + a1 * b1 - b * c1
             a2, b2, c2 = x1 + hdt * k2a, x2 + hdt * k2b, x3 + hdt * k2c
             k3a = s * (b2 - a2)
             k3b = a2 * (r - c2) - b2
-            k3c = sin(tpf * th) + a2 * b2 - b * c2
+            k3c = half + a2 * b2 - b * c2
             a3, b3, c3 = x1 + dt * k3a, x2 + dt * k3b, x3 + dt * k3c
             tf = t + dt
             k4a = s * (b3 - a3)

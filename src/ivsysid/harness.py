@@ -138,8 +138,9 @@ class SharedArtifacts:
     """Per-experiment state reused across every trial.
 
     states are the (n, 3) noiseless states that integrate gives. drive is
-    the forcing at the regression time of every window offset of a
-    config.n-row record (see trial_drive); the reference and the trials read it.
+    the forcing at the regression time of each window offset that the walk
+    of a config.n-row record places (see trial_drive); the reference and the
+    trials read it through drive_at.
     """
 
     states: np.ndarray
@@ -180,7 +181,7 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         reference = true_theta()
         kind = "ground_truth"
     else:
-        reference = pseudo_true_discrete(config, states, bank, drive.__getitem__)
+        reference = pseudo_true_discrete(config, states, bank, drive_at(drive))
         kind = "pseudo_true"
     return SharedArtifacts(
         states=states,
@@ -193,15 +194,26 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
 
 
 def trial_drive(config: ExperimentConfig, bank: SplitFilterBank) -> np.ndarray:
-    """The forcing at each window offset's regression time, read-only.
+    """The forcing at the regression time of each window offset the walk places, read-only.
 
-    Row 0 sits at t = h, as integrate places it. The column is the same in
-    every trial: one value per offset whatever the stride, 0.8 MB at n = 1e5.
+    Row 0 sits at t = h, as integrate places it. The offsets are 0, stride,
+    2 * stride, ..., so the column holds one value per window: 0.8 MB at
+    n = 1e5 and stride 1, 99 values at n = 20,001 and stride 201. It is the
+    same in every trial.
     """
-    windows = slice(0, config.n - 2 * config.N + 1)
+    windows = slice(0, config.n - 2 * config.N + 1, config.stride)
     drive = forcing(window_times(bank, windows, config.h), config.forcing_freq)
     drive.flags.writeable = False
     return drive
+
+
+def drive_at(column: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """estimate_series's drive read from a trial_drive column.
+
+    A block's offsets slice(w0, w1, s) start at a multiple of s, so they
+    are the column's entries w0 // s up to ceil(w1 / s).
+    """
+    return lambda w: column[w.start // w.step : -(-w.stop // w.step)]
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -219,8 +231,8 @@ def estimate_series(
     an object of 3 columns whose open() starts a forward pass of reads that
     ends at the first short one (see assemble_design). drive(w) gives the
     forcing at the window offsets of w, a slice(w0, w1, stride), for the
-    features of that block: a trial reads SharedArtifacts.drive[w], and
-    estimate computes the sine at window_times(bank, w, t0).
+    features of that block: a trial reads drive_at(SharedArtifacts.drive),
+    and estimate computes the sine at window_times(bank, w, t0).
     """
     feats = lambda w, s: feature_map(drive(w), s)  # noqa: E731
     design = assemble_design(values, bank, feats, config.mu, config.stride)
@@ -291,7 +303,7 @@ def run_trial(
     the drive from shared, whose length run_monte_carlo checks.
     """
     record = trial_record(config, trial_index, shared.states)
-    estimate = estimate_series(record, config, shared.bank, shared.drive.__getitem__)
+    estimate = estimate_series(record, config, shared.bank, drive_at(shared.drive))
     return TrialResult(trial_index, estimate)
 
 
@@ -332,11 +344,13 @@ def run_monte_carlo(
     Trials are independent given their seeds, so any worker count produces
     identical per-trial output. It sets the process's malloc thresholds
     first (see keep_block_memory). A shared drive without one entry per
-    window offset of config raises ValueError before any trial runs.
+    window that config's walk places raises ValueError before any trial runs.
     """
-    windows = config.n - 2 * config.N + 1
+    windows = len(range(0, config.n - 2 * config.N + 1, config.stride))
     if len(shared.drive) != windows:
-        raise ValueError(f"drive has {len(shared.drive)} entries for {windows} window offsets")
+        raise ValueError(
+            f"drive has {len(shared.drive)} entries for {windows} windows at stride {config.stride}"
+        )
 
     def one(i: int) -> TrialResult:
         try:
@@ -400,10 +414,13 @@ def summarize(
 
 #: Bootstrap resamples B.
 _BOOTSTRAP_RESAMPLES = 1000
-#: (resample, trial) entries drawn per bootstrap block: max(1, this // T)
-#: resamples at a time, so a block's indices and weights take about 1 MB each
-#: whatever the trial count T.
-_BOOTSTRAP_BLOCK_ENTRIES = 131_072
+#: (row, trial) entries in the summary stage's one block: the bootstrap's
+#: resample weights and the KDE's kernel are formed max(1, this // T) rows
+#: at a time, so the block takes about 1 MB whatever the trial count T. The
+#: bootstrap's rows per block set the bytes of summary.json: weights @ dev
+#: rounds differently with the row count, and at T = 2,000 blocks of 16 rows
+#: or fewer change the last bits of the *_se values.
+_SUMMARY_BLOCK_ENTRIES = 131_072
 
 
 def bootstrap_se(
@@ -413,11 +430,12 @@ def bootstrap_se(
 ) -> dict[str, dict[str, float]]:
     """Nonparametric bootstrap standard errors for the three statistics.
 
-    The B = _BOOTSTRAP_RESAMPLES resamples are drawn and reduced in blocks of
-    rows; the draws are those of one (B, T) call, since the generator's
-    stream does not depend on how it is split. Each resample's bias, std and
-    rmse go into a (3, B) array per estimator, and the standard errors are
-    taken from those.
+    The B = _BOOTSTRAP_RESAMPLES resamples are reduced in blocks of rows
+    (see _SUMMARY_BLOCK_ENTRIES), whose weights are filled one resample at
+    a time into one (rows, T) buffer; the draws are those of one (B, T)
+    call, since the generator's stream does not depend on how it is split.
+    Each resample's bias, std and rmse go into a (3, B) array per
+    estimator, and the standard errors are taken from those.
     """
     B = _BOOTSTRAP_RESAMPLES
     iv, ls = _successful(results, _MIN_TRIALS)
@@ -437,13 +455,14 @@ def bootstrap_se(
             np.sum((thetas - reference) ** 2, axis=(1, 2)),
         )
     resampled = {name: np.empty((3, B)) for name in per_trial}  # bias, std, rmse
-    rows = max(1, _BOOTSTRAP_BLOCK_ENTRIES // T)
+    rows = max(1, _SUMMARY_BLOCK_ENTRIES // T)
+    buffer = np.empty((min(rows, B), T))
     for b0 in range(0, B, rows):
         b1 = min(b0 + rows, B)
-        idx = rng.integers(0, T, size=(b1 - b0, T))
+        weights = buffer[: b1 - b0]
         # resample b as weights: weights[b, t] = (times trial t was drawn) / T
-        idx += T * np.arange(b1 - b0)[:, None]
-        weights = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape) / T
+        for row in weights:
+            np.divide(np.bincount(rng.integers(0, T, size=T), minlength=T), T, out=row)
         for name, (dev, offset, dev_sq, err_sq) in per_trial.items():
             dev_means = weights @ dev  # (rows, 18)
             var = weights @ dev_sq - np.sum(dev_means**2, axis=1)
@@ -470,12 +489,16 @@ def kde_export(
     grid spans the sample mean +/- 4 sd. Degenerate (constant) samples get a
     single narrow peak at their value. Returns one curve per entry and
     estimator: (entry_row, entry_col, estimator, grid, density, sample_mean,
-    reference_value), with the grid and the density as arrays.
+    reference_value), with the grid and the density as arrays. Each curve's
+    kernel is formed for blocks of grid points in one reused buffer of
+    about 1 MB (see _SUMMARY_BLOCK_ENTRIES); a grid point's density is the
+    same sum whatever its block.
     """
     iv, ls = _successful(results, _KDE_MIN_TRIALS)
     curves: list[tuple] = []
     T = len(iv)
-    kernel = np.empty((_KDE_GRID_POINTS, T))
+    rows = max(1, _SUMMARY_BLOCK_ENTRIES // T)
+    buffer = np.empty((min(rows, _KDE_GRID_POINTS), T))
     for name, thetas in (("iv", iv), ("ls", ls)):
         for r_i in range(reference.shape[0]):
             for c_i in range(reference.shape[1]):
@@ -485,12 +508,16 @@ def kde_export(
                 scale = max(sd, max(abs(mean), 1.0) * 1e-9)
                 bw = 1.06 * scale * T ** (-0.2)
                 grid = np.linspace(mean - 4 * scale, mean + 4 * scale, _KDE_GRID_POINTS)
-                # exp(-0.5 * ((grid - samples) / bw) ** 2), in the one reused buffer
-                np.subtract.outer(grid, samples, out=kernel)
-                kernel /= bw
-                kernel *= kernel
-                kernel *= -0.5
-                dens = np.exp(kernel, out=kernel).sum(axis=1)
+                dens = np.empty(_KDE_GRID_POINTS)
+                for g0 in range(0, _KDE_GRID_POINTS, rows):
+                    g1 = min(g0 + rows, _KDE_GRID_POINTS)
+                    # exp(-0.5 * ((grid - samples) / bw) ** 2), in the one reused buffer
+                    kernel = buffer[: g1 - g0]
+                    np.subtract.outer(grid[g0:g1], samples, out=kernel)
+                    kernel /= bw
+                    kernel *= kernel
+                    kernel *= -0.5
+                    dens[g0:g1] = np.exp(kernel, out=kernel).sum(axis=1)
                 dens /= T * bw * math.sqrt(2 * math.pi)
                 curves.append((r_i, c_i, name, grid, dens, mean, float(reference[r_i, c_i])))
     return curves

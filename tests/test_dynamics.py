@@ -15,7 +15,7 @@ from ivsysid.dynamics import (
     integrate,
     true_theta,
 )
-from ivsysid.harness import ExperimentConfig, pseudo_true_discrete, trial_drive
+from ivsysid.harness import ExperimentConfig, drive_at, pseudo_true_discrete, trial_drive
 from ivsysid.splitfilters import build_split_bank
 
 
@@ -196,7 +196,7 @@ def test_pseudo_true_first_order_trend():
         )
         states = integrate(config.x0, h, config.n, config.substeps)
         bank = build_split_bank("discrete", config.N, h, config.p)
-        pt = pseudo_true_discrete(config, states, bank, trial_drive(config, bank).__getitem__)
+        pt = pseudo_true_discrete(config, states, bank, drive_at(trial_drive(config, bank)))
         expected = lift + h * theta0
         errs.append(np.linalg.norm(pt - expected, "fro") / h)
     assert errs[1] < 0.2 * errs[0]
@@ -208,7 +208,7 @@ def test_pseudo_true_rejects_continuous_mode():
     states = integrate(config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("continuous", config.N, config.h, config.p)
     with pytest.raises(ValueError, match="discrete mode only"):
-        pseudo_true_discrete(config, states, bank, trial_drive(config, bank).__getitem__)
+        pseudo_true_discrete(config, states, bank, drive_at(trial_drive(config, bank)))
 
 
 def test_discrete_setup_integrates_once(monkeypatch):
@@ -220,7 +220,7 @@ def test_discrete_setup_integrates_once(monkeypatch):
     config = harness.ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
     states = integrate(config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("discrete", config.N, config.h, config.p)
-    drive = trial_drive(config, bank).__getitem__
+    drive = drive_at(trial_drive(config, bank))
     expected = pseudo_true_discrete(config, states, bank, drive)
     calls = []
     monkeypatch.setattr(

@@ -29,6 +29,7 @@ from ivsysid.harness import (
     TrialResult,
     bootstrap_se,
     config_from_dict,
+    drive_at,
     estimate_series,
     kde_export,
     prepare_shared,
@@ -200,7 +201,7 @@ def _one_shot_bootstrap_se(results, reference, B, seed):
 
 
 def _block_rows(T: int) -> int:
-    return max(1, harness._BOOTSTRAP_BLOCK_ENTRIES // T)
+    return max(1, harness._SUMMARY_BLOCK_ENTRIES // T)
 
 
 @pytest.mark.parametrize("T", [12, 240, 2000])
@@ -225,7 +226,7 @@ def test_blockwise_integer_draws_equal_one_draw(T):
     whole = np.random.default_rng(np.random.SeedSequence([0, 0xB5])).integers(
         0, T, size=(B, T)
     )
-    for rows in (_block_rows(T), 7):
+    for rows in (_block_rows(T), 7, 1):
         rng = np.random.default_rng(np.random.SeedSequence([0, 0xB5]))
         blocks = [
             rng.integers(0, T, size=(min(rows, B - b0), T)) for b0 in range(0, B, rows)
@@ -233,17 +234,27 @@ def test_blockwise_integer_draws_equal_one_draw(T):
         assert np.array_equal(np.concatenate(blocks), whole), rows
 
 
-def test_bootstrap_memory_is_bounded_by_block():
-    # the (1000, 2000) weights, indices and counts of one draw took 61 MB
-    ref = true_theta()
-    results = _gaussian_results(2000, seed=23)
+def _traced_peak(statistic, results) -> int:
     tracemalloc.start()
     try:
-        bootstrap_se(results, ref, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        statistic(results, true_theta())
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6, peak
+
+
+def test_bootstrap_memory_is_bounded_by_block():
+    # the (1000, 2000) weights, indices and counts of one draw took 61 MB,
+    # and a 65-resample block's indices, counts and weights at once 5.25 MiB;
+    # one (65, 2000) weights buffer filled a resample at a time reads 2.2 MiB
+    peak = _traced_peak(bootstrap_se, _gaussian_results(2000, seed=23))
+    assert peak < 3e6, peak
+
+
+def test_kde_memory_is_bounded_by_block():
+    # one (256, 2000) kernel for the whole grid took 4.73 MiB
+    peak = _traced_peak(kde_export, _gaussian_results(2000, seed=24))
+    assert peak < 3e6, peak
 
 
 def _curves_by_entry(curves: list[tuple]) -> dict[tuple, tuple]:
@@ -287,6 +298,24 @@ def test_kde_density_matches_one_expression():
     got_grid, got_dens, _, _ = _curves_by_entry(curves)[("ls", 2, 1)]
     assert got_grid.tolist() == grid.tolist()
     assert got_dens.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("T", [10, 513, 2000])
+def test_kde_blocks_match_one_shot_kernel(T):
+    # the grid's blocks give the bits of one (256, T) kernel: one block at
+    # T = 10, 255 rows and 1 at T = 513, and three of 65 and one of 61 at 2000
+    ref = true_theta()
+    results = _gaussian_results(T, seed=T)
+    for r_i, c_i, name, grid, dens, mean, _ in kde_export(results, ref):
+        samples = np.array([getattr(r.estimate, name).theta[r_i, c_i] for r in results])
+        assert mean == float(samples.mean())
+        bw = 1.06 * max(float(samples.std()), max(abs(mean), 1.0) * 1e-9) * T ** (-0.2)
+        kernel = np.subtract.outer(grid, samples)
+        kernel /= bw
+        kernel *= kernel
+        kernel *= -0.5
+        want = np.exp(kernel).sum(axis=1) / (T * bw * math.sqrt(2 * math.pi))
+        assert np.array_equal(dens, want), (name, r_i, c_i)
 
 
 def test_kde_needs_ten_trials():
@@ -418,11 +447,12 @@ def test_streamed_trial_equals_whole_record(small_shared, monkeypatch, block, st
 
     monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", block)
     monkeypatch.setattr(harness, "assemble_design", capture)
-    drive = small_shared.drive.__getitem__
+    shared = replace(small_shared, drive=trial_drive(config, small_shared.bank))
+    drive = drive_at(shared.drive)
     for i in range(2):
-        streamed = run_trial(config, i, small_shared).estimate
-        values = _whole_record(config, i, small_shared)
-        _assert_same_estimate(streamed, estimate_series(values, config, small_shared.bank, drive))
+        streamed = run_trial(config, i, shared).estimate
+        values = _whole_record(config, i, shared)
+        _assert_same_estimate(streamed, estimate_series(values, config, shared.bank, drive))
         trial_design, whole = designs[-2:]  # both went through capture
         # the trial design's rebuilt rows restart the draw and read the same record
         for name in ("X", "Y", "Z"):
@@ -440,6 +470,30 @@ def test_drive_of_the_wrong_length_is_refused(small_shared, monkeypatch, extra):
     with pytest.raises(ValueError, match=f"drive has {windows + extra} entries for {windows} "):
         run_monte_carlo(SMALL, shared)
     assert len(small_shared.drive) == windows
+
+
+def test_drive_of_another_stride_is_refused(small_shared, monkeypatch):
+    # the column holds the offsets one stride walks; read at another, each
+    # window would get another window's drive
+    monkeypatch.setattr(harness, "run_trial", lambda *a: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match=r"^drive has 1961 entries for 654 windows at stride 3$"):
+        run_monte_carlo(replace(SMALL, stride=3), small_shared)
+
+
+@pytest.mark.parametrize("n, stride, size", [(2000, 1, 1961), (2000, 3, 654), (20001, 201, 100)])
+def test_drive_column_holds_the_walked_offsets(small_shared, n, stride, size):
+    # one value per window the walk places; a block slice(w0, w1, stride),
+    # w0 a multiple of stride, reads the drive at its offsets, as the
+    # stride-1 column has them
+    config = replace(SMALL, n=n, stride=stride)
+    column = trial_drive(config, small_shared.bank)
+    every = trial_drive(replace(config, stride=1), small_shared.bank)
+    assert len(column) == size == len(range(0, len(every), stride))
+    lookup = drive_at(column)
+    for w0 in range(0, len(every), 7 * stride):
+        for w1 in (w0 + 1, w0 + stride, w0 + 7 * stride - 1, len(every)):
+            w = slice(w0, min(w1, len(every)), stride)
+            assert np.array_equal(lookup(w), every[w]), w
 
 
 @given(
@@ -499,7 +553,7 @@ def test_array_estimate_holds_one_block():
     )
     config = ExperimentConfig(mode="discrete", n=n, trials=1)
     bank = build_split_bank("discrete", 100, h, 75)
-    drive = trial_drive(config, bank).__getitem__
+    drive = drive_at(trial_drive(config, bank))
     estimate_series(states, config, bank, drive)  # fills the bank's spectra cache
     tracemalloc.start()
     try:
@@ -516,11 +570,14 @@ import resource, sys
 from dataclasses import replace
 import numpy as np
 sys.path.insert(0, sys.argv[1])
+from ivsysid import harness
 from ivsysid.dynamics import true_theta
 from ivsysid.harness import ExperimentConfig, SharedArtifacts, run_monte_carlo, trial_drive
 from ivsysid.splitfilters import build_split_bank
 
-n, workers, trials = (int(v) for v in sys.argv[2:])
+n, workers, trials, control = (int(v) for v in sys.argv[2:])
+if control:  # glibc's default thresholds: run_monte_carlo leaves them as they are
+    harness.keep_block_memory = lambda: None
 h = 1e-3
 times = np.arange(1, n + 1) * h
 states = np.column_stack([10 * np.sin(2.1 * times), 12 * np.cos(1.3 * times), 25 + times])
@@ -535,20 +592,36 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / trials)
 """
 
 
+def _faults_per_trial(n: int, workers: int, trials: int, control: bool) -> float:
+    # minor faults per trial of a run in a fresh process, where nothing has
+    # raised glibc's thresholds yet; the control never raises them
+    src = Path(harness.__file__).resolve().parents[1]
+    argv = [str(v) for v in (src, n, workers, trials, int(control))]
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
 @pytest.mark.parametrize("n, workers, trials", [(100_000, 2, 24), (4_000, 1, 200)])
 def test_trial_blocks_do_not_fault_in_memory(n, workers, trials):
-    # in a fresh process, where nothing has raised glibc's thresholds yet:
-    # with the defaults its arenas are trimmed and refilled after every
-    # block, about 193 minor faults per trial at n = 4,000 on one worker; at
-    # n = 1e5 on two workers a trial takes about 12 either way
-    src = Path(harness.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", FAULT_PROBE, str(src), str(n), str(workers), str(trials)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 50, proc.stdout
+    # with keep_block_memory a trial at n = 4,000 on one worker takes about
+    # 1 minor fault. The published case, n = 1e5 on two workers, bounds the
+    # walk's own faults and does not test the call: a published trial takes
+    # about 12 with or without it
+    faults = _faults_per_trial(n, workers, trials, control=False)
+    assert faults < 50, faults
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_fault_probe_sees_the_trims_without_keep_block_memory():
+    # the control: at glibc's defaults an arena is trimmed and refilled
+    # after every block, about 193 minor faults per many-short trial, so the
+    # probe above would fail if run_monte_carlo stopped raising the thresholds
+    faults = _faults_per_trial(4_000, 1, 200, control=True)
+    assert faults > 100, faults
 
 
 def test_unbuildable_degree_falls_back_with_warning():
@@ -724,7 +797,7 @@ def test_discrete_setup_builds_one_bank(monkeypatch):
         assert len(calls) == 3
         states, bank = shared.states, shared.bank
         sine = lambda w: forcing(window_times(bank, w, cfg.h), cfg.forcing_freq)  # noqa: E731
-        for drive in (shared.drive.__getitem__, sine):
+        for drive in (drive_at(shared.drive), sine):
             expected = estimate_series(states, cfg, bank, drive).ls.theta
             assert shared.reference.tobytes() == expected.tobytes(), stride
 
