@@ -86,10 +86,6 @@ def integrate(
         DivergenceError: the state became non-finite, reported with the
             output step index at which it happened.
     """
-    if not h > 0:
-        raise ValueError(f"step h must be positive, got {h}")
-    if n < 1 or substeps < 1:
-        raise ValueError("n and substeps must be >= 1")
     s, r, b = _SIGMA, _RHO, _BETA
     tpf = 2.0 * math.pi * forcing_freq
     dt = h / substeps
@@ -141,8 +137,6 @@ def add_noise(
     stream does not depend on how it is split, so calls on consecutive
     blocks of rows give the bits of one call on all of them.
     """
-    if eta < 0:
-        raise ValueError(f"noise variance must be >= 0, got {eta}")
     # the same draws and bits as states + rng.normal(0, sqrt(eta), shape)
     rng.standard_normal(out=out)
     out *= math.sqrt(eta)

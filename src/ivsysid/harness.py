@@ -16,7 +16,7 @@ import math
 import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -119,9 +119,6 @@ class MethodStats:
     bias_pct: float
     std_pct: float
     rmse_pct: float
-    bias_se: float | None = None
-    std_se: float | None = None
-    rmse_se: float | None = None
 
 
 @dataclass
@@ -256,8 +253,6 @@ def pseudo_true_discrete(
     to on the noiseless `states`, filtered with the experiment's `bank`.
     drive is estimate_series's.
     """
-    if config.mode != "discrete":
-        raise ValueError("pseudo-true reference applies to discrete mode only")
     return estimate_series(states, config, bank, drive).ls.theta
 
 
@@ -577,7 +572,9 @@ def summary_dict(
     shared: SharedArtifacts,
     results: list[TrialResult],
     stats: SummaryStats,
+    ses: dict[str, dict[str, float]],
 ) -> dict:
+    """summary.json's content; ses is bootstrap_se's, merged into each estimator's stats."""
     ok = [r.estimate for r in results if r.error is None]
     ideal = ideal_window(config.h, shared.p_used)
     excitation = {
@@ -596,10 +593,7 @@ def summary_dict(
         "n_windows": ok[0].n_windows if ok else 0,
         "ideal_window": ideal,
         "window_vs_ideal": config.N / ideal,
-        "stats": {
-            "iv": asdict(stats.iv),
-            "ls": asdict(stats.ls),
-        },
+        "stats": {name: {**asdict(getattr(stats, name)), **ses[name]} for name in ("iv", "ls")},
         "trials": {
             "requested": config.trials,
             "succeeded": stats.n_trials,
@@ -621,24 +615,27 @@ def run_experiment(
 ) -> dict:
     """Full benchmark: trials, statistics, bootstrap SEs, CSV/JSON outputs.
 
-    Writes trials.csv, summary.json and kde.csv into out_dir and returns the
-    summary dict. out_dir is created only once the statistics succeed, so a
-    failed run leaves no empty directory behind.
+    Writes trials.csv, summary.json and kde.csv (given at least
+    _KDE_MIN_TRIALS successes) into out_dir and returns the summary dict.
+    config.h must be below 1, for summary.json's ideal window; that is
+    checked before anything runs. out_dir is created only once every output
+    is computed, so a failed run leaves no directory behind.
     """
+    if not config.h < 1:
+        raise ValueError(f"benchmark needs h < 1 for summary.json's ideal window, got {config.h}")
     shared = prepare_shared(config)
     results = run_monte_carlo(config, workers=workers, shared=shared)
     stats = summarize(results, shared.reference, shared.reference_kind)
     ses = bootstrap_se(results, shared.reference, seed=config.master_seed)
-    stats.iv = replace(stats.iv, **ses["iv"])
-    stats.ls = replace(stats.ls, **ses["ls"])
+    summary = summary_dict(config, shared, results, stats, ses)
+    curves = kde_export(results, shared.reference) if stats.n_trials >= _KDE_MIN_TRIALS else None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trials_csv(out / "trials.csv", results)
-    summary = summary_dict(config, shared, results, stats)
     (out / "summary.json").write_text(json_text(summary))
-    if stats.n_trials >= _KDE_MIN_TRIALS:
-        write_kde_csv(out / "kde.csv", kde_export(results, shared.reference))
+    if curves is not None:
+        write_kde_csv(out / "kde.csv", curves)
     return summary
 
 

@@ -79,7 +79,7 @@ def build_split_bank(mode: str, N: int, h: float, p: int) -> SplitFilterBank:
 
     Args:
         mode: "continuous" (response = derivative) or "discrete" (= shift).
-        N: taps per filter; must be even.
+        N: taps per filter; even. ExperimentConfig checks mode and N.
         h: base sample spacing.
         p: exactness degree of all three stencils; at most N.
 
@@ -87,13 +87,8 @@ def build_split_bank(mode: str, N: int, h: float, p: int) -> SplitFilterBank:
         SplitFilterBank with the three solved stencils.
 
     Raises:
-        ValueError: N odd or mode unknown.
         FilterRankError: p > N.
     """
-    if mode not in ("continuous", "discrete"):
-        raise ValueError(f"mode must be 'continuous' or 'discrete', got {mode!r}")
-    if N % 2 != 0:
-        raise ValueError(f"window size must be even for the parity split, got {N}")
     step = 2.0 * h
     center = (1 + N) / 2.0
     d_H = 1 if mode == "continuous" else 0
@@ -312,8 +307,6 @@ def assemble_design(
         EmptyDesignError: fewer samples than one window, once the pass has
             read to the record's end.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     if hasattr(measurements, "open"):
         d, start = measurements.columns, measurements.open
     else:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ivsysid import cli, splitfilters
+from ivsysid import cli, harness, splitfilters
 from ivsysid.bounds import GammaParams, corollary_rate, gamma, ideal_window
 from ivsysid.cli import _resolve_config, build_parser, main
 from ivsysid.dynamics import forcing, integrate
@@ -491,10 +491,13 @@ def test_benchmark_rejects_non_finite_field(tmp_path, capsys):
         (["x0=[NaN,0,0]"], "x0 must be three finite reals, got [nan, 0, 0]"),
         (["N=21"], "N must be even for the parity split, got 21"),
         (["n=30", "N=20"], "n=30 samples do not fill one window of 2N=40 samples"),
+        (["h=1.0"], "benchmark needs h < 1 for summary.json's ideal window, got 1.0"),
     ],
-    ids=["str", "bool", "nan-freq", "scalar-x0", "nan-x0", "odd-N", "short-n"],
+    ids=["str", "bool", "nan-freq", "scalar-x0", "nan-x0", "odd-N", "short-n", "h-1"],
 )
-def test_benchmark_rejects_bad_field(tmp_path, capsys, overrides, message):
+def test_benchmark_rejects_bad_field(tmp_path, capsys, monkeypatch, overrides, message):
+    # each is rejected before the states are integrated
+    monkeypatch.setattr(harness, "integrate", lambda *a, **k: pytest.fail("integrated"))
     out = tmp_path / "d"
     sets = [arg for item in ["p=8", *overrides] for arg in ("--set", item)]
     rc, _, err = run_cli(
@@ -514,6 +517,37 @@ def test_benchmark_failure_leaves_no_output_dir(tmp_path, capsys):
     )
     assert rc == 1
     assert parse_json(err)["error"]["type"] == "FilterRankError"
+    assert not out.exists()
+
+
+def test_benchmark_summary_failure_leaves_no_output_dir(tmp_path, capsys, monkeypatch):
+    # every trial has run when the summary fails; trials.csv is not written yet
+    def broken(*args):
+        raise ValueError("injected summary fault")
+
+    monkeypatch.setattr(harness, "summary_dict", broken)
+    out = tmp_path / "d"
+    rc, _, err = run_cli(
+        capsys,
+        "benchmark", "--mode", "continuous", "--trials", "3",
+        "--set", "n=3000", "--set", "N=16", "--set", "p=8", "--out", str(out),
+    )
+    assert rc == 1
+    assert parse_json(err)["error"] == {"type": "ValueError", "message": "injected summary fault"}
+    assert not out.exists()
+
+
+def test_simulate_rejects_trials(tmp_path, capsys):
+    # simulate draws trial 0's noise only, so it has no trial count to take
+    out = tmp_path / "s"
+    rc, stdout, err = run_cli(
+        capsys, "simulate", "--mode", "continuous", "--trials", "5", "--out", str(out)
+    )
+    assert rc == 1 and stdout == ""
+    assert parse_json(err)["error"] == {
+        "type": "CliError",
+        "message": "unrecognized arguments: --trials 5",
+    }
     assert not out.exists()
 
 
@@ -720,7 +754,9 @@ def test_unknown_override_errors(tmp_path, capsys):
         "--set", "q=1", "--out", str(tmp_path),
     )
     assert rc == 1
-    assert "unknown config field" in parse_json(err)["error"]["message"]
+    error = parse_json(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("unknown config keys ['q']; valid keys: ['N', "), error
 
 
 def test_malformed_override_errors(tmp_path, capsys):

@@ -120,13 +120,6 @@ def test_trajectory_stays_on_attractor(lorenz_trajectory):
     assert lorenz_trajectory.shape == (100_000, 3)
 
 
-def test_integrate_validation():
-    with pytest.raises(ValueError):
-        integrate((0, 0, 0), -0.1, 10)
-    with pytest.raises(ValueError):
-        integrate((0, 0, 0), 0.1, 0)
-
-
 def test_divergence_reports_step():
     # the quadratic terms of a huge state overflow within a few steps
     with pytest.raises(DivergenceError) as exc:
@@ -203,12 +196,15 @@ def test_pseudo_true_first_order_trend():
     assert errs[2] < 0.2 * errs[1]
 
 
-def test_pseudo_true_rejects_continuous_mode():
+def test_only_discrete_setup_solves_pseudo_true(monkeypatch):
+    # prepare_shared's discrete branch is the pseudo-true reference's one caller
+    import ivsysid.harness as harness
+
+    monkeypatch.setattr(harness, "pseudo_true_discrete", lambda *a: pytest.fail("solved"))
     config = ExperimentConfig(mode="continuous", n=300, h=5e-3, N=10, p=4, trials=1)
-    states = integrate(config.x0, config.h, config.n, config.substeps)
-    bank = build_split_bank("continuous", config.N, config.h, config.p)
-    with pytest.raises(ValueError, match="discrete mode only"):
-        pseudo_true_discrete(config, states, bank, drive_at(trial_drive(config, bank)))
+    shared = harness.prepare_shared(config)
+    assert shared.reference_kind == "ground_truth"
+    assert np.array_equal(shared.reference, true_theta())
 
 
 def test_discrete_setup_integrates_once(monkeypatch):

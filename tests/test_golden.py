@@ -112,3 +112,11 @@ def test_outputs_match_the_recorded_digests(tmp_path):
     want = recorded["digests"]
     changed = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not changed, f"these outputs differ from the recorded digests: {changed}"
+
+
+def test_update_names_each_changed_digest():
+    from tests.golden.update import changes
+
+    old = {"a": "1", "b": "2", "c": "3"}
+    assert changes(old, {"a": "1", "b": "9", "d": "4"}) == ["changed b", "dropped c", "added d"]
+    assert changes(old, old) == []

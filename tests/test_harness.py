@@ -629,7 +629,8 @@ def test_unbuildable_degree_falls_back_with_warning():
     with pytest.warns(RuntimeWarning, match="falling back"):
         shared = prepare_shared(cfg)
     results = run_monte_carlo(cfg, shared)
-    summary = summary_dict(cfg, shared, results, summarize(results, shared.reference))
+    stats = summarize(results, shared.reference)
+    summary = summary_dict(cfg, shared, results, stats, bootstrap_se(results, shared.reference))
     assert (summary["p_requested"], summary["p_used"]) == (75, harness.FALLBACK_P)
     assert shared.p_used == harness.FALLBACK_P
     assert shared.bank.hat_G.spec.exactness_degree == harness.FALLBACK_P
@@ -658,7 +659,8 @@ def test_failed_trials_are_recorded(small_shared, monkeypatch):
     stats = summarize(results, small_shared.reference, small_shared.reference_kind)
     assert stats.n_trials == SMALL.trials - 1
     assert stats.n_failed == 1
-    summary = summary_dict(SMALL, small_shared, results, stats)
+    ses = bootstrap_se(results, small_shared.reference)
+    summary = summary_dict(SMALL, small_shared, results, stats, ses)
     assert summary["trials"]["failed"] == 1
     assert summary["failures"] == [
         {"trial_index": 1, "error": "ValueError: injected failure"}
@@ -809,11 +811,20 @@ def test_eta_defaults_by_mode():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(mode="hybrid")
-    with pytest.raises(ValueError):
-        ExperimentConfig(mode="continuous", n=0)
-    with pytest.raises(ValueError):
+    # the one check of each rule: integrate, add_noise, build_split_bank and
+    # assemble_design take these values unchecked
+    for mode in ("hybrid", "weekly", "Discrete", ""):
+        with pytest.raises(ValueError, match=r"^mode must be 'continuous' or 'discrete', got "):
+            ExperimentConfig(mode=mode)
+    with pytest.raises(ValueError, match=r"^N must be even for the parity split, got 21$"):
+        ExperimentConfig(mode="continuous", N=21)
+    for name in ("n", "substeps", "stride"):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1$"):
+            ExperimentConfig(mode="continuous", **{name: 0})
+    for h in (0.0, -1e-3):
+        with pytest.raises(ValueError, match=r"^h must be positive$"):
+            ExperimentConfig(mode="continuous", h=h)
+    with pytest.raises(ValueError, match=r"^eta must be >= 0$"):
         ExperimentConfig(mode="continuous", eta=-0.1)
     with pytest.raises(ValueError):
         ExperimentConfig(mode="continuous", x0=(1.0, 2.0))
@@ -902,5 +913,5 @@ def test_apply_overrides():
     assert out2.x0 == (1.0, 2.0, 3.0)
     with pytest.raises(ValueError, match="key=value"):
         _resolved("--mode", "continuous", "--set", "n4000")
-    with pytest.raises(ValueError, match="unknown config field"):
+    with pytest.raises(ValueError, match=r"^unknown config keys \['q'\]; valid keys: "):
         _resolved("--mode", "continuous", "--set", "q=1")

@@ -76,18 +76,9 @@ def test_bank_supports_high_degree():
 
 
 def test_bank_preconditions():
-    with pytest.raises(ValueError):
-        build_split_bank("continuous", 101, 0.001, 8)
+    # ExperimentConfig checks mode and N's parity (tests/test_harness.py)
     with pytest.raises(FilterRankError):
         build_split_bank("continuous", 100, 0.001, 150)
-    with pytest.raises(ValueError):
-        build_split_bank("weekly", 100, 0.001, 8)
-
-
-@pytest.mark.parametrize("mode", ["weekly", "Discrete", ""])
-def test_bank_rejects_unknown_mode(mode):
-    with pytest.raises(ValueError, match=r"mode must be 'continuous' or 'discrete', got"):
-        build_split_bank(mode, 100, 0.001, 8)
 
 
 def test_next_fast_len_matches_scipy():
