@@ -47,12 +47,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+#: The config fields `simulate` reads: it integrates and draws trial 0's noise.
+_SIMULATE_FIELDS = ("mode", "n", "h", "eta", "master_seed", "substeps", "forcing_freq", "x0")
 #: The config fields `estimate` reads: the file gives h and the rows, and it
 #: draws no noise and runs no trials.
 _ESTIMATE_FIELDS = ("mode", "N", "p", "lam", "mu", "stride", "forcing_freq")
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser, fields: tuple[str, ...]) -> None:
+    sub.set_defaults(fields=fields)  # the config fields the command reads
     sub.add_argument("--config", help="JSON manifest with experiment fields")
     sub.add_argument("--mode", choices=["continuous", "discrete"], help="model class")
     sub.add_argument(
@@ -89,6 +92,9 @@ def _resolve_config(args) -> ExperimentConfig:
         key, sep, value = item.partition("=")
         if not sep:
             raise CliError(f"override {item!r} is not of the form key=value")
+        if key in ExperimentConfig.__dataclass_fields__ and key not in args.fields:
+            fields = ", ".join(args.fields)
+            raise CliError(f"{args.command} does not read --set {key}; it takes only {fields}")
         try:
             raw[key] = json.loads(value)
         except json.JSONDecodeError:
@@ -258,13 +264,6 @@ class _CsvRecord:
 
 
 def _cmd_estimate(args) -> dict:
-    for item in args.overrides:
-        key = item.partition("=")[0]
-        if key in ExperimentConfig.__dataclass_fields__ and key not in _ESTIMATE_FIELDS:
-            raise CliError(
-                f"estimate does not read --set {key}; it takes only "
-                f"{', '.join(_ESTIMATE_FIELDS)}"
-            )
     cfg = _resolve_config(args)
     keep_block_memory()
     record = _CsvRecord(args.input)
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="integrate the benchmark system to CSV")
-    _add_config_flags(sim)
+    _add_config_flags(sim, _SIMULATE_FIELDS)
     sim.add_argument("--seed", type=int, help="override master seed (trial 0's noise)")
     sim.add_argument("--out", required=True, help="output directory")
     sim.set_defaults(func=_cmd_simulate)
@@ -350,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     filt.set_defaults(func=_cmd_filters)
 
     est = subs.add_parser("estimate", help="estimate parameters from one measurement CSV")
-    _add_config_flags(est)
+    _add_config_flags(est, _ESTIMATE_FIELDS)
     est.add_argument("--input", required=True, help="CSV with t and z1..z3 (or x1..x3) columns")
     est.add_argument("--out", help="optional output directory for estimate.json")
     est.set_defaults(func=_cmd_estimate)
 
     bench = subs.add_parser("benchmark", help="run the Monte Carlo benchmark")
-    _add_config_flags(bench)
+    _add_config_flags(bench, tuple(ExperimentConfig.__dataclass_fields__))
     bench.add_argument("--trials", type=int, help="override trial count")
     bench.add_argument("--seed", type=int, help="override master seed")
     bench.add_argument("--out", required=True, help="output directory")

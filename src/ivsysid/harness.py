@@ -360,17 +360,35 @@ def run_monte_carlo(
     return [one(i) for i in range(config.trials)]
 
 
-def _stats(thetas: np.ndarray, reference: np.ndarray) -> tuple[float, float, float]:
-    # bias: distance from the mean estimate to the reference; std: quadratic
-    # mean distance to the mean; rmse: quadratic mean distance to the
-    # reference. All normalized by ||reference||_F, in percent. These satisfy
-    # bias^2 + std^2 = rmse^2 identically.
-    refnorm = np.linalg.norm(reference)
-    mean = thetas.mean(axis=0)
-    bias = np.linalg.norm(mean - reference) / refnorm
-    std = math.sqrt(np.mean(np.sum((thetas - mean) ** 2, axis=(1, 2)))) / refnorm
-    rmse = math.sqrt(np.mean(np.sum((thetas - reference) ** 2, axis=(1, 2)))) / refnorm
-    return 100.0 * bias, 100.0 * std, 100.0 * rmse
+def _trial_table(thetas: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_weighted_stats's table of (T, 6, 3) estimates and its offset, in percent of ||reference||.
+
+    Row t holds trial t's 18 deviations from the sample mean, which keep
+    E_w|d|^2 - |E_w d|^2 free of cancellation, their squared norm and the
+    squared norm of its error. The offset is the sample mean's error.
+    """
+    scale = 100.0 / np.linalg.norm(reference)
+    center = thetas.mean(axis=0)
+    dev = (thetas - center).reshape(len(thetas), -1) * scale
+    err = (thetas - reference).reshape(len(thetas), -1) * scale
+    squares = np.einsum("tk,tk->t", dev, dev), np.einsum("tk,tk->t", err, err)
+    return np.column_stack([dev, *squares]), (center - reference).ravel() * scale
+
+
+def _weighted_stats(weights: np.ndarray, table: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Bias, std and rmse in percent under each row of weights, as a (3, rows) array.
+
+    weights is a (rows, T) block whose rows each sum to 1; table and offset
+    are _trial_table's. bias is the distance from the weighted mean estimate
+    to the reference, std the quadratic mean distance to that mean and rmse
+    the quadratic mean distance to the reference, so bias^2 + std^2 = rmse^2.
+    Every reduction is an einsum without optimize, which calls no BLAS, so a
+    row's bits depend neither on the BLAS threads nor on the rows beside it.
+    """
+    means = np.einsum("bt,tk->bk", weights, table)
+    dev_means, bias_vec = means[:, :-2], means[:, :-2] + offset
+    var = means[:, -2] - np.einsum("bk,bk->b", dev_means, dev_means)
+    return np.sqrt([np.einsum("bk,bk->b", bias_vec, bias_vec), np.maximum(var, 0.0), means[:, -1]])
 
 
 #: Successful trials needed for the statistics and bootstrap SEs, and for the KDE.
@@ -398,9 +416,11 @@ def summarize(
 ) -> SummaryStats:
     """Normalized bias/std/rmse (percent) over the successful trials."""
     iv, ls = _successful(results, _MIN_TRIALS)
+    uniform = np.full((1, len(iv)), 1.0 / len(iv))
+    iv_stats, ls_stats = (_weighted_stats(uniform, *_trial_table(t, reference)) for t in (iv, ls))
     return SummaryStats(
-        iv=MethodStats(*_stats(iv, reference)),
-        ls=MethodStats(*_stats(ls, reference)),
+        iv=MethodStats(*iv_stats[:, 0].tolist()),
+        ls=MethodStats(*ls_stats[:, 0].tolist()),
         reference=reference_kind,
         n_trials=len(iv),
         n_failed=len(results) - len(iv),
@@ -411,10 +431,7 @@ def summarize(
 _BOOTSTRAP_RESAMPLES = 1000
 #: (row, trial) entries in the summary stage's one block: the bootstrap's
 #: resample weights and the KDE's kernel are formed max(1, this // T) rows
-#: at a time, so the block takes about 1 MB whatever the trial count T. The
-#: bootstrap's rows per block set the bytes of summary.json: weights @ dev
-#: rounds differently with the row count, and at T = 2,000 blocks of 16 rows
-#: or fewer change the last bits of the *_se values.
+#: at a time, so the block takes about 1 MB whatever the trial count T.
 _SUMMARY_BLOCK_ENTRIES = 131_072
 
 
@@ -429,27 +446,15 @@ def bootstrap_se(
     (see _SUMMARY_BLOCK_ENTRIES), whose weights are filled one resample at
     a time into one (rows, T) buffer; the draws are those of one (B, T)
     call, since the generator's stream does not depend on how it is split.
-    Each resample's bias, std and rmse go into a (3, B) array per
-    estimator, and the standard errors are taken from those.
+    Each resample's bias, std and rmse, from summarize's _weighted_stats, go
+    into a (3, B) array per estimator, and the SEs are taken from those.
     """
     B = _BOOTSTRAP_RESAMPLES
     iv, ls = _successful(results, _MIN_TRIALS)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB5]))
     T = len(iv)
-    refnorm = np.linalg.norm(reference)
-    per_trial = {}
-    for name, thetas in (("iv", iv), ("ls", ls)):
-        # deviations from the full-sample mean keep the resampled variance
-        # E_w|d|^2 - |E_w d|^2 free of cancellation
-        center = thetas.mean(axis=0)
-        dev = (thetas - center).reshape(T, -1)  # (T, 18)
-        per_trial[name] = (
-            dev,
-            (center - reference).ravel(),
-            np.sum(dev**2, axis=1),
-            np.sum((thetas - reference) ** 2, axis=(1, 2)),
-        )
-    resampled = {name: np.empty((3, B)) for name in per_trial}  # bias, std, rmse
+    tables = {"iv": _trial_table(iv, reference), "ls": _trial_table(ls, reference)}
+    resampled = {name: np.empty((3, B)) for name in tables}  # bias, std, rmse
     rows = max(1, _SUMMARY_BLOCK_ENTRIES // T)
     buffer = np.empty((min(rows, B), T))
     for b0 in range(0, B, rows):
@@ -458,16 +463,11 @@ def bootstrap_se(
         # resample b as weights: weights[b, t] = (times trial t was drawn) / T
         for row in weights:
             np.divide(np.bincount(rng.integers(0, T, size=T), minlength=T), T, out=row)
-        for name, (dev, offset, dev_sq, err_sq) in per_trial.items():
-            dev_means = weights @ dev  # (rows, 18)
-            var = weights @ dev_sq - np.sum(dev_means**2, axis=1)
-            block = resampled[name][:, b0:b1]
-            block[0] = np.linalg.norm(dev_means + offset, axis=1) / refnorm
-            block[1] = np.sqrt(np.maximum(var, 0.0)) / refnorm
-            block[2] = np.sqrt(weights @ err_sq) / refnorm
+        for name, table in tables.items():
+            resampled[name][:, b0:b1] = _weighted_stats(weights, *table)
     return {
         name: {
-            key: float(100.0 * stat.std(ddof=1))
+            key: float(stat.std(ddof=1))
             for key, stat in zip(("bias_se", "std_se", "rmse_se"), stats)
         }
         for name, stats in resampled.items()

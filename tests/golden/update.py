@@ -16,7 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from tests.test_golden import DIGESTS, digests, versions, write_outputs  # noqa: E402
+from tests.test_golden import DIGESTS, blas, digests, versions, write_outputs  # noqa: E402
 
 
 def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
@@ -36,7 +36,7 @@ def main() -> None:
     old = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         write_outputs(Path(tmp) / "out", Path(tmp) / "inputs")
-        record = {"versions": versions(), "digests": digests(Path(tmp) / "out")}
+        record = {"versions": versions(), "blas": blas(), "digests": digests(Path(tmp) / "out")}
     DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     lines = changes(old, record["digests"])
     print("\n".join(lines or ["no digest changed"]))

@@ -37,7 +37,7 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     )
     harness.run_experiment(config, Path(tmp) / "run")
     codes = [
-        cli.main(["simulate", "--mode", "continuous", *small,
+        cli.main(["simulate", "--mode", "continuous",
                   "--set", "n=1500", "--set", "substeps=2", "--out", tmp]),
         cli.main(["estimate", "--mode", "continuous", *small,
                   "--input", str(Path(tmp) / "trajectory.csv")]),

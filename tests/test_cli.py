@@ -103,7 +103,7 @@ def test_estimate_matches_library_pipeline(tmp_path, capsys):
     )
     filters = ["--mode", "continuous", "--set", "N=20", "--set", "p=4"]
     rc, _, _ = run_cli(
-        capsys, "simulate", *filters,
+        capsys, "simulate", "--mode", "continuous",
         "--set", "n=2000", "--set", "eta=0.05", "--set", "substeps=2",
         "--out", str(tmp_path),
     )
@@ -131,31 +131,47 @@ def test_estimate_matches_library_pipeline(tmp_path, capsys):
     assert on_disk["iv"]["theta"] == result["iv"]["theta"]
 
 
+_ESTIMATE_NEVER_READS = [
+    (["--trials", "7"], "--trials"),
+    (["--trials", "-5"], "--trials"),
+    (["--seed", "3"], "--seed"),
+    (["--set", "n=3000"], "--set n"),
+    (["--set", "h=0.01"], "--set h"),
+    (["--set", "eta=5"], "--set eta"),
+    (["--set", "trials=2"], "--set trials"),
+    (["--set", "master_seed=1"], "--set master_seed"),
+    (["--set", "substeps=3"], "--set substeps"),
+    (["--set", "x0=[1, 2, 3]"], "--set x0"),
+]
+_SIMULATE_NEVER_READS = [
+    (["--set", "lam=7"], "--set lam"),
+    (["--set", "N=16"], "--set N"),
+    (["--set", "p=3"], "--set p"),
+    (["--set", "trials=5"], "--set trials"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, named",
+    "command, flag, named",
     [
-        (["--trials", "7"], "--trials"),
-        (["--trials", "-5"], "--trials"),
-        (["--seed", "3"], "--seed"),
-        (["--set", "n=3000"], "--set n"),
-        (["--set", "h=0.01"], "--set h"),
-        (["--set", "eta=5"], "--set eta"),
-        (["--set", "trials=2"], "--set trials"),
-        (["--set", "master_seed=1"], "--set master_seed"),
-        (["--set", "substeps=3"], "--set substeps"),
-        (["--set", "x0=[1, 2, 3]"], "--set x0"),
+        *(pytest.param("estimate", f, n, id=f"flag{i}-{n}")
+          for i, (f, n) in enumerate(_ESTIMATE_NEVER_READS)),
+        *(pytest.param("simulate", f, n, id=f"simulate-{n}") for f, n in _SIMULATE_NEVER_READS),
     ],
 )
-def test_estimate_rejects_flags_it_never_reads(tmp_path, capsys, flag, named):
-    # rejected before the input is read, so no file is needed
-    rc, out, err = run_cli(
-        capsys, "estimate", "--mode", "continuous", *flag,
-        "--input", str(tmp_path / "missing.csv"),
+def test_estimate_rejects_flags_it_never_reads(tmp_path, capsys, command, flag, named):
+    # and so does simulate: rejected before the input is read, so no file is
+    # needed, and before anything is written
+    out = tmp_path / "out"
+    source = ["--input", str(tmp_path / "missing.csv")] if command == "estimate" else []
+    rc, stdout, err = run_cli(
+        capsys, command, "--mode", "continuous", *flag, *source, "--out", str(out)
     )
-    assert rc == 1 and out == ""
+    assert rc == 1 and stdout == ""
     error = parse_json(err)["error"]
     assert error["type"] == "CliError"
     assert named in error["message"], error
+    assert not out.exists()
 
 
 def test_estimate_reads_its_fields_from_a_full_manifest(tmp_path, capsys):
@@ -723,7 +739,7 @@ def test_negative_seed_fails_at_the_boundary(tmp_path, capsys, command):
     out = tmp_path / "out"
     rc, _, err = run_cli(
         capsys, command, "--mode", "continuous", "--seed", "-1",
-        "--set", "n=3000", "--set", "N=20", "--set", "p=8", "--out", str(out),
+        "--set", "n=3000", "--out", str(out),
     )
     assert rc == 1
     error = parse_json(err)["error"]

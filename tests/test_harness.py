@@ -219,6 +219,19 @@ def test_bootstrap_blocks_match_one_shot_weights(T, B, monkeypatch):
             assert math.isclose(got[method][key], value, rel_tol=1e-13), (method, key)
 
 
+def test_bootstrap_se_bits_do_not_depend_on_rows_per_block(monkeypatch):
+    # each resample's statistics are einsum reductions of its own row, so the
+    # rows beside it in a block leave their bits alone
+    ref = true_theta()
+    results = _gaussian_results(2000, seed=26)
+    ses = []
+    for rows in (65, 7, 1):
+        monkeypatch.setattr(harness, "_SUMMARY_BLOCK_ENTRIES", rows * 2000)
+        assert _block_rows(2000) == rows
+        ses.append(bootstrap_se(results, ref, seed=3))
+    assert ses[1] == ses[0] and ses[2] == ses[0]
+
+
 @pytest.mark.parametrize("T", [24, 239, 240, 1999, 2000, 2001])
 def test_blockwise_integer_draws_equal_one_draw(T):
     # the bootstrap's resamples do not depend on how its draw is split
