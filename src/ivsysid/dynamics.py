@@ -32,9 +32,9 @@ class DivergenceError(RuntimeError):
 _SIGMA, _RHO, _BETA = 10.0, 28.0, 8.0 / 3.0
 
 
-def forcing(t, f: float = 1.0) -> np.ndarray:
-    """The drive sin(2*pi*f*t), element by element."""
-    return np.sin(2.0 * np.pi * f * np.asarray(t, dtype=float))
+def forcing(t, f: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    """The drive sin(2*pi*f*t), element by element, into out if given; out may be t itself."""
+    return np.sin(np.multiply(2.0 * np.pi * f, t, out=out), out=out)
 
 
 def feature_map(drive, state) -> np.ndarray:

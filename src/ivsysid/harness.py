@@ -107,10 +107,21 @@ class SeriesEstimate:
     n_windows: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialResult:
+    """What a run's outputs read of one trial, all that a run keeps of it.
+
+    thetas stacks the IV and LS estimates to (2, 6, 3); sigma_min_zx and
+    clipped_directions are the IV's, satisfied the excitation check's. A
+    failed trial has thetas None and its error.
+    """
+
     trial_index: int
-    estimate: SeriesEstimate | None
+    thetas: np.ndarray | None
+    sigma_min_zx: float = math.nan
+    clipped_directions: int = 0
+    satisfied: bool = False
+    n_windows: int = 0
     error: str | None = None
 
 
@@ -153,11 +164,14 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
 
     If the configured exactness degree cannot be built on the split window
     (rank or conditioning failure), fall back to FALLBACK_P with a warning.
+    It sets the malloc thresholds first (see keep_block_memory), so the
+    discrete reference's walk keeps its block memory as a trial's does.
     """
     if config.n < 2 * config.N:
         raise ValueError(
             f"n={config.n} samples do not fill one window of 2N={2 * config.N} samples"
         )
+    keep_block_memory()
     states = integrate(config.x0, config.h, config.n, config.substeps, config.forcing_freq)
     p_used = config.p
     try:
@@ -198,8 +212,8 @@ def trial_drive(config: ExperimentConfig, bank: SplitFilterBank) -> np.ndarray:
     n = 1e5 and stride 1, 99 values at n = 20,001 and stride 201. It is the
     same in every trial.
     """
-    windows = slice(0, config.n - 2 * config.N + 1, config.stride)
-    drive = forcing(window_times(bank, windows, config.h), config.forcing_freq)
+    times = window_times(bank, slice(0, config.n - 2 * config.N + 1, config.stride), config.h)
+    drive = forcing(times, config.forcing_freq, out=times)
     drive.flags.writeable = False
     return drive
 
@@ -298,8 +312,11 @@ def run_trial(
     the drive from shared, whose length run_monte_carlo checks.
     """
     record = trial_record(config, trial_index, shared.states)
-    estimate = estimate_series(record, config, shared.bank, drive_at(shared.drive))
-    return TrialResult(trial_index, estimate)
+    est = estimate_series(record, config, shared.bank, drive_at(shared.drive))
+    return TrialResult(
+        trial_index, np.stack([est.iv.theta, est.ls.theta]), est.iv.sigma_min_zx,
+        est.iv.clipped_directions, est.excitation["satisfied"], est.n_windows,
+    )
 
 
 def keep_block_memory() -> None:
@@ -399,14 +416,14 @@ _KDE_GRID_POINTS = 256
 
 
 def _successful(results: list[TrialResult], need: int) -> tuple[np.ndarray, np.ndarray]:
-    """The IV and LS estimates of the successful trials, stacked to (T, 6, 3)."""
-    ok = [r.estimate for r in results if r.error is None]
+    """The IV and LS estimates of the successful trials, each stacked to (T, 6, 3)."""
+    ok = [r.thetas for r in results if r.error is None]
     if len(ok) < need:
         first = next((f"; first failure: {r.error}" for r in results if r.error is not None), "")
         raise InsufficientDataError(
             f"need at least {need} successful trials, got {len(ok)}{first}"
         )
-    return np.stack([e.iv.theta for e in ok]), np.stack([e.ls.theta for e in ok])
+    return np.stack([t[0] for t in ok]), np.stack([t[1] for t in ok])
 
 
 def summarize(
@@ -431,8 +448,9 @@ def summarize(
 _BOOTSTRAP_RESAMPLES = 1000
 #: (row, trial) entries in the summary stage's one block: the bootstrap's
 #: resample weights and the KDE's kernel are formed max(1, this // T) rows
-#: at a time, so the block takes about 1 MB whatever the trial count T.
-_SUMMARY_BLOCK_ENTRIES = 131_072
+#: at a time, so the block takes about 0.25 MB whatever the trial count T.
+#: It sets memory only: no output's bits depend on it.
+_SUMMARY_BLOCK_ENTRIES = 32_768
 
 
 def bootstrap_se(
@@ -486,7 +504,7 @@ def kde_export(
     estimator: (entry_row, entry_col, estimator, grid, density, sample_mean,
     reference_value), with the grid and the density as arrays. Each curve's
     kernel is formed for blocks of grid points in one reused buffer of
-    about 1 MB (see _SUMMARY_BLOCK_ENTRIES); a grid point's density is the
+    about 0.25 MB (see _SUMMARY_BLOCK_ENTRIES); a grid point's density is the
     same sum whatever its block.
     """
     iv, ls = _successful(results, _KDE_MIN_TRIALS)
@@ -539,11 +557,10 @@ def write_trials_csv(path: Path, results: list[TrialResult]) -> None:
     header += [f"theta_{r}_{c}" for r in range(6) for c in range(3)]
     header += ["sigma_min_zx", "clipped_directions"]
     rows = (
-        [res.trial_index, name, *est.theta.ravel().tolist()]
-        + [res.estimate.iv.sigma_min_zx, res.estimate.iv.clipped_directions]
+        [res.trial_index, name, *theta.ravel().tolist(), res.sigma_min_zx, res.clipped_directions]
         for res in results
         if res.error is None
-        for name, est in (("iv", res.estimate.iv), ("ls", res.estimate.ls))
+        for name, theta in zip(("iv", "ls"), res.thetas)
     )
     write_csv(path, header, rows)
 
@@ -575,12 +592,12 @@ def summary_dict(
     ses: dict[str, dict[str, float]],
 ) -> dict:
     """summary.json's content; ses is bootstrap_se's, merged into each estimator's stats."""
-    ok = [r.estimate for r in results if r.error is None]
+    ok = [r for r in results if r.error is None]
     ideal = ideal_window(config.h, shared.p_used)
     excitation = {
-        "min_sigma_min_zx": min((e.iv.sigma_min_zx for e in ok), default=None),
-        "all_satisfied": all(e.excitation["satisfied"] for e in ok),
-        "trials_with_clipping": sum(1 for e in ok if e.iv.clipped_directions > 0),
+        "min_sigma_min_zx": min((r.sigma_min_zx for r in ok), default=None),
+        "all_satisfied": all(r.satisfied for r in ok),
+        "trials_with_clipping": sum(1 for r in ok if r.clipped_directions > 0),
     }
     config_dict = asdict(config)
     config_dict["x0"] = list(config.x0)  # JSON round-trips tuples as lists

@@ -247,7 +247,11 @@ def window_times(bank: SplitFilterBank, windows: slice, t0: float) -> np.ndarray
     block's offsets to its feature map, and t0 is the time of row 0.
     """
     N, h = bank.base_window, bank.base_step
-    return (np.arange(windows.start, windows.stop, windows.step) + N - 0.5) * h + t0
+    times = np.arange(windows.start, windows.stop, windows.step, dtype=float)
+    times += N - 0.5
+    times *= h
+    times += t0
+    return times
 
 
 def _copy_rows(values: np.ndarray, a: int, b: int, out: np.ndarray) -> int:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
+import re
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -121,11 +125,11 @@ def test_estimate_matches_library_pipeline(tmp_path, capsys):
 
     expected = run_trial(cfg, 0, prepare_shared(cfg))
     # the CSV round-trips floats exactly, so the numbers must match bitwise
-    est = expected.estimate
-    assert np.array_equal(np.array(result["iv"]["theta"]), est.iv.theta)
-    assert np.array_equal(np.array(result["ls"]["theta"]), est.ls.theta)
-    assert result["n_windows"] == est.n_windows
-    assert result["excitation"] == est.excitation
+    assert np.array_equal(np.array([result["iv"]["theta"], result["ls"]["theta"]]), expected.thetas)
+    assert result["n_windows"] == expected.n_windows
+    assert result["iv"]["sigma_min_zx"] == expected.sigma_min_zx
+    assert result["iv"]["clipped_directions"] == expected.clipped_directions
+    assert result["excitation"]["satisfied"] == expected.satisfied
 
     on_disk = json.loads((tmp_path / "est" / "estimate.json").read_text())
     assert on_disk["iv"]["theta"] == result["iv"]["theta"]
@@ -373,6 +377,89 @@ def test_estimate_checks_every_block(tmp_path, capsys, monkeypatch, fault, flags
     assert error["type"] == "CliError"
     for part in named:
         assert part in error["message"], error
+
+
+#: The property tests' record: N = 16 and blocks of 32 windows put block
+#: ends at data rows 63, 95, 127, ... of its 300 rows
+_LAYOUT_ARGS = ["estimate", "--mode", "continuous", "--set", "N=16", "--set", "p=3"]
+_LAYOUT_NAMES = ("t", "z1", "z2", "z3")
+_LAYOUT_ROWS = [row.split(",") for row in _measurement_rows(300)]
+
+
+def _estimate_text(text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `estimate` on a file holding text, in blocks of 32 windows."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitfilters, "_BLOCK_WINDOWS", 32)
+        path = Path(tmp) / "record.csv"
+        path.write_bytes(text.encode())
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*_LAYOUT_ARGS, "--input", str(path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _plain_text(rows: list[list[str]]) -> str:
+    return "\n".join(",".join(row) for row in [list(_LAYOUT_NAMES), *rows]) + "\n"
+
+
+@st.composite
+def _layouts(draw) -> tuple[list[str], list[list[str]]]:
+    """A random header of the record's columns, padded, permuted and with extras, and its rows."""
+    extra = draw(st.lists(st.sampled_from(["x1", "note", "w", "t2"]), max_size=2, unique=True))
+    order = draw(st.permutations([*_LAYOUT_NAMES, *extra]))
+    pad = st.sampled_from(["", " ", "  "])
+    header = [draw(pad) + name + draw(pad) for name in order]
+    # no filler is empty, so a row cut to its first cell is not a blank line
+    filler = {"x1": "1.5", "note": "abc", "w": "7", "t2": "-0.25"}
+    rows = [[dict(zip(_LAYOUT_NAMES, row), **filler)[name] for name in order] for row in _LAYOUT_ROWS]
+    return header, rows
+
+
+def _layout_text(draw, header: list[str], rows: list[list[str]]) -> str:
+    """The file's text: a BOM or none, blank and # lines, LF or CRLF, a final newline or none."""
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "# a comment", "#t,z1,z2,z3"])))
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from([sep, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + sep.join([",".join(header), *lines]) + end
+
+
+@given(st.data())
+def test_estimate_does_not_depend_on_the_file_layout(data):
+    # blank and # lines, CRLF, a byte-order mark, padded, permuted and extra
+    # columns and the final newline change the text, not the record
+    rc, want, err = _estimate_text(_plain_text(_LAYOUT_ROWS))
+    assert rc == 0, err
+    header, rows = data.draw(_layouts())
+    rc, got, err = _estimate_text(_layout_text(data.draw, header, rows))
+    assert rc == 0, err
+    assert got == want
+
+
+@given(st.data())
+def test_estimate_names_the_data_row_and_header_of_a_bad_cell(data):
+    # one corrupted cell in any block, on any layout: text, a non-finite
+    # value, an empty cell, or a row cut before the cell
+    header, rows = data.draw(_layouts())
+    names = [name.strip() for name in header]
+    row = data.draw(st.integers(0, len(rows) - 1))
+    column = data.draw(st.sampled_from(_LAYOUT_NAMES))
+    kind = data.draw(st.sampled_from(["abc", "nan", "-inf", "", "cut"]))
+    if kind == "cut":
+        # the row keeps its cells before column's, and at least one; np.loadtxt
+        # names the first missing column it reads, in the order t, z1, z2, z3
+        keep = max(1, names.index(column))
+        rows[row] = rows[row][:keep]
+        column = next(name for name in _LAYOUT_NAMES if names.index(name) >= keep)
+    else:
+        rows[row][names.index(column)] = kind
+    rc, out, err = _estimate_text(_layout_text(data.draw, header, rows))
+    assert rc == 1 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert f"column {column!r}" in message, message
+    assert re.search(rf"data row {row + 1}\b", message), message
 
 
 class _CountedFile:
