@@ -146,9 +146,9 @@ class SharedArtifacts:
     """Per-experiment state reused across every trial.
 
     states are the (n, 3) noiseless states that integrate gives. drive is
-    the forcing at the regression time of each window offset that the walk
-    of a config.n-row record places (see trial_drive); the reference and the
-    trials read it through drive_at.
+    the forcing at the regression time of each window offset of a
+    config.n-row record (see trial_drive); the reference and the trials read
+    it through drive.__getitem__, each block at the offsets the walk places.
     """
 
     states: np.ndarray
@@ -192,7 +192,7 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
         reference = true_theta()
         kind = "ground_truth"
     else:
-        reference = pseudo_true_discrete(config, states, bank, drive_at(drive))
+        reference = pseudo_true_discrete(config, states, bank, drive.__getitem__)
         kind = "pseudo_true"
     return SharedArtifacts(
         states=states,
@@ -205,26 +205,17 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
 
 
 def trial_drive(config: ExperimentConfig, bank: SplitFilterBank) -> np.ndarray:
-    """The forcing at the regression time of each window offset the walk places, read-only.
+    """The forcing at the regression time of each window offset 0 ... n - 2N, read-only.
 
-    Row 0 sits at t = h, as integrate places it. The offsets are 0, stride,
-    2 * stride, ..., so the column holds one value per window: 0.8 MB at
-    n = 1e5 and stride 1, 99 values at n = 20,001 and stride 201. It is the
-    same in every trial.
+    Row 0 sits at t = h, as integrate places it. The column holds one value
+    per offset, 0.8 MB at n = 1e5, and the sine is taken in place of the
+    times. It is the same in every trial, and each block of the walk reads
+    its offsets from it as a view, whatever their step.
     """
-    times = window_times(bank, slice(0, config.n - 2 * config.N + 1, config.stride), config.h)
+    times = window_times(bank, slice(0, config.n - 2 * config.N + 1, 1), config.h)
     drive = forcing(times, config.forcing_freq, out=times)
     drive.flags.writeable = False
     return drive
-
-
-def drive_at(column: np.ndarray) -> Callable[[slice], np.ndarray]:
-    """estimate_series's drive read from a trial_drive column.
-
-    A block's offsets slice(w0, w1, s) start at a multiple of s, so they
-    are the column's entries w0 // s up to ceil(w1 / s).
-    """
-    return lambda w: column[w.start // w.step : -(-w.stop // w.step)]
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -241,9 +232,10 @@ def estimate_series(
     values is an (n, 3) array or a record, such as a trial's NoisyRecord:
     an object of 3 columns whose open() starts a forward pass of reads that
     ends at the first short one (see assemble_design). drive(w) gives the
-    forcing at the window offsets of w, a slice(w0, w1, stride), for the
-    features of that block: a trial reads drive_at(SharedArtifacts.drive),
-    and estimate computes the sine at window_times(bank, w, t0).
+    forcing at the window offsets of w, the slice of a block's offsets that
+    assemble_design hands its feature map: a trial reads
+    SharedArtifacts.drive[w], and estimate computes the sine at
+    window_times(bank, w, t0).
     """
     feats = lambda w, s: feature_map(drive(w), s)  # noqa: E731
     design = assemble_design(values, bank, feats, config.mu, config.stride)
@@ -312,7 +304,7 @@ def run_trial(
     the drive from shared, whose length run_monte_carlo checks.
     """
     record = trial_record(config, trial_index, shared.states)
-    est = estimate_series(record, config, shared.bank, drive_at(shared.drive))
+    est = estimate_series(record, config, shared.bank, shared.drive.__getitem__)
     return TrialResult(
         trial_index, np.stack([est.iv.theta, est.ls.theta]), est.iv.sigma_min_zx,
         est.iv.clipped_directions, est.excitation["satisfied"], est.n_windows,
@@ -356,13 +348,12 @@ def run_monte_carlo(
     Trials are independent given their seeds, so any worker count produces
     identical per-trial output. It sets the process's malloc thresholds
     first (see keep_block_memory). A shared drive without one entry per
-    window that config's walk places raises ValueError before any trial runs.
+    window offset of a config.n-row record raises ValueError before any
+    trial runs.
     """
-    windows = len(range(0, config.n - 2 * config.N + 1, config.stride))
-    if len(shared.drive) != windows:
-        raise ValueError(
-            f"drive has {len(shared.drive)} entries for {windows} windows at stride {config.stride}"
-        )
+    offsets = config.n - 2 * config.N + 1
+    if len(shared.drive) != offsets:
+        raise ValueError(f"drive has {len(shared.drive)} entries for {offsets} window offsets")
 
     def one(i: int) -> TrialResult:
         try:

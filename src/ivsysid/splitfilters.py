@@ -270,7 +270,7 @@ def assemble_design(
 ) -> DesignMatrices:
     """Slide the split windows over a measurement series and sum the moments.
 
-    `measurements` is an (n, d) or (n,) array, or a record: an object whose
+    `measurements` is an (n, d) array or a record: an object whose
     columns is d and whose open() starts a pass and returns read(a, b, out).
     read fills out, a C-contiguous (b - a, d) float array, with the rows a
     to a + k - 1 and returns k <= b - a; a short read (k < b - a) means
@@ -315,7 +315,6 @@ def assemble_design(
         d, start = measurements.columns, measurements.open
     else:
         values = np.asarray(measurements)
-        values = values[:, None] if values.ndim == 1 else values
         d, start = values.shape[1], lambda: functools.partial(_copy_rows, values)
     span = 2 * bank.base_window
     block = max(stride, _BLOCK_WINDOWS - _BLOCK_WINDOWS % stride)

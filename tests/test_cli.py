@@ -441,13 +441,18 @@ def test_estimate_does_not_depend_on_the_file_layout(data):
 @given(st.data())
 def test_estimate_names_the_data_row_and_header_of_a_bad_cell(data):
     # one corrupted cell in any block, on any layout: text, a non-finite
-    # value, an empty cell, or a row cut before the cell
+    # value, an empty cell, a row cut before the cell, or a row of only
+    # spaces or tabs, which is a data row and not a skipped empty line
     header, rows = data.draw(_layouts())
     names = [name.strip() for name in header]
     row = data.draw(st.integers(0, len(rows) - 1))
     column = data.draw(st.sampled_from(_LAYOUT_NAMES))
-    kind = data.draw(st.sampled_from(["abc", "nan", "-inf", "", "cut"]))
-    if kind == "cut":
+    kind = data.draw(st.sampled_from(["abc", "nan", "-inf", "", "cut", "blank"]))
+    if kind == "blank":
+        # its one field is no number, and np.loadtxt reads t first
+        rows[row] = [data.draw(st.sampled_from([" ", "   ", "\t", " \t "]))]
+        column = "t"
+    elif kind == "cut":
         # the row keeps its cells before column's, and at least one; np.loadtxt
         # names the first missing column it reads, in the order t, z1, z2, z3
         keep = max(1, names.index(column))

@@ -15,7 +15,7 @@ from ivsysid.dynamics import (
     integrate,
     true_theta,
 )
-from ivsysid.harness import ExperimentConfig, drive_at, pseudo_true_discrete, trial_drive
+from ivsysid.harness import ExperimentConfig, pseudo_true_discrete, trial_drive
 from ivsysid.splitfilters import build_split_bank
 
 
@@ -189,7 +189,7 @@ def test_pseudo_true_first_order_trend():
         )
         states = integrate(config.x0, h, config.n, config.substeps)
         bank = build_split_bank("discrete", config.N, h, config.p)
-        pt = pseudo_true_discrete(config, states, bank, drive_at(trial_drive(config, bank)))
+        pt = pseudo_true_discrete(config, states, bank, trial_drive(config, bank).__getitem__)
         expected = lift + h * theta0
         errs.append(np.linalg.norm(pt - expected, "fro") / h)
     assert errs[1] < 0.2 * errs[0]
@@ -216,7 +216,7 @@ def test_discrete_setup_integrates_once(monkeypatch):
     config = harness.ExperimentConfig(mode="discrete", n=300, h=5e-3, N=10, p=4, trials=1)
     states = integrate(config.x0, config.h, config.n, config.substeps)
     bank = build_split_bank("discrete", config.N, config.h, config.p)
-    drive = drive_at(trial_drive(config, bank))
+    drive = trial_drive(config, bank).__getitem__
     expected = pseudo_true_discrete(config, states, bank, drive)
     calls = []
     monkeypatch.setattr(

@@ -29,7 +29,6 @@ from ivsysid.harness import (
     TrialResult,
     bootstrap_se,
     config_from_dict,
-    drive_at,
     estimate_series,
     kde_export,
     prepare_shared,
@@ -480,12 +479,11 @@ def test_streamed_trial_equals_whole_record(small_shared, monkeypatch, block, st
 
     monkeypatch.setattr(splitfilters, "_BLOCK_WINDOWS", block)
     monkeypatch.setattr(harness, "assemble_design", capture)
-    shared = replace(small_shared, drive=trial_drive(config, small_shared.bank))
-    drive = drive_at(shared.drive)
+    drive = small_shared.drive.__getitem__  # the stride-1 set-up's column serves every stride
     for i in range(2):
-        streamed = run_trial(config, i, shared)
-        values = _whole_record(config, i, shared)
-        whole_estimate = estimate_series(values, config, shared.bank, drive)
+        streamed = run_trial(config, i, small_shared)
+        values = _whole_record(config, i, small_shared)
+        whole_estimate = estimate_series(values, config, small_shared.bank, drive)
         assert _fields(streamed) == _series_fields(i, whole_estimate)
         trial_design, whole = designs[-2:]  # both went through capture
         # the trial design's rebuilt rows restart the draw and read the same record
@@ -501,52 +499,40 @@ def test_drive_of_the_wrong_length_is_refused(small_shared, monkeypatch, extra):
     windows = SMALL.n - 2 * SMALL.N + 1
     shared = replace(small_shared, drive=np.resize(small_shared.drive, windows + extra))
     monkeypatch.setattr(harness, "run_trial", lambda *a: pytest.fail("a trial ran"))
-    with pytest.raises(ValueError, match=f"drive has {windows + extra} entries for {windows} "):
+    message = f"^drive has {windows + extra} entries for {windows} window offsets$"
+    with pytest.raises(ValueError, match=message):
         run_monte_carlo(SMALL, shared)
     assert len(small_shared.drive) == windows
 
 
-def test_drive_of_another_stride_is_refused(small_shared, monkeypatch):
-    # the column holds the offsets one stride walks; read at another, each
-    # window would get another window's drive
-    monkeypatch.setattr(harness, "run_trial", lambda *a: pytest.fail("a trial ran"))
-    with pytest.raises(ValueError, match=r"^drive has 1961 entries for 654 windows at stride 3$"):
-        run_monte_carlo(replace(SMALL, stride=3), small_shared)
-
-
 def test_drive_column_is_the_sine_at_the_window_times_built_in_place():
-    # at n = 1e5 and stride 1 the int offsets, their times and the sine were
-    # three 0.8 MB arrays at once; the times now take the sine in place
+    # at n = 1e5 the int offsets, their times and the sine were three 0.8 MB
+    # arrays at once; the times now take the sine in place
     n, N, h, f = 100_000, 100, 1e-3, 1.3
     bank = build_split_bank("discrete", N, h, 3)
-    for stride in (1, 3, 201):
-        config = ExperimentConfig(mode="discrete", n=n, N=N, h=h, stride=stride, forcing_freq=f)
-        w = np.arange(0, n - 2 * N + 1, stride)
-        want = np.sin(2 * np.pi * f * ((w + N - 0.5) * h + h))  # row 0 at t = h
-        tracemalloc.start()
-        try:
-            column = trial_drive(config, bank)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert column.tobytes() == want.tobytes(), stride
-        assert peak <= 1.7e6, (stride, peak)
+    config = ExperimentConfig(mode="discrete", n=n, N=N, h=h, forcing_freq=f)
+    w = np.arange(0, n - 2 * N + 1)
+    want = np.sin(2 * np.pi * f * ((w + N - 0.5) * h + h))  # row 0 at t = h
+    tracemalloc.start()
+    try:
+        column = trial_drive(config, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert column.tobytes() == want.tobytes()
+    assert peak <= 1.7e6, peak
 
 
-@pytest.mark.parametrize("n, stride, size", [(2000, 1, 1961), (2000, 3, 654), (20001, 201, 100)])
-def test_drive_column_holds_the_walked_offsets(small_shared, n, stride, size):
-    # one value per window the walk places; a block slice(w0, w1, stride),
-    # w0 a multiple of stride, reads the drive at its offsets, as the
-    # stride-1 column has them
-    config = replace(SMALL, n=n, stride=stride)
-    column = trial_drive(config, small_shared.bank)
-    every = trial_drive(replace(config, stride=1), small_shared.bank)
-    assert len(column) == size == len(range(0, len(every), stride))
-    lookup = drive_at(column)
-    for w0 in range(0, len(every), 7 * stride):
-        for w1 in (w0 + 1, w0 + stride, w0 + 7 * stride - 1, len(every)):
-            w = slice(w0, min(w1, len(every)), stride)
-            assert np.array_equal(lookup(w), every[w]), w
+@pytest.mark.parametrize("stride, windows", [(3, 654), (2 * SMALL.N + 1, 48)])
+def test_one_setup_drive_serves_every_stride(small_shared, stride, windows):
+    # the column holds every window offset, so a stride-1 set-up runs a
+    # strided walk as a set-up at that stride does; continuous only, as the
+    # discrete reference depends on the stride
+    config = replace(SMALL, stride=stride)
+    ours = run_monte_carlo(config, small_shared)
+    theirs = run_monte_carlo(config, prepare_shared(config))
+    assert [_fields(r) for r in ours] == [_fields(r) for r in theirs]
+    assert {r.n_windows for r in ours} == {windows}
 
 
 @given(
@@ -606,7 +592,7 @@ def test_array_estimate_holds_one_block():
     )
     config = ExperimentConfig(mode="discrete", n=n, trials=1)
     bank = build_split_bank("discrete", 100, h, 75)
-    drive = drive_at(trial_drive(config, bank))
+    drive = trial_drive(config, bank).__getitem__
     estimate_series(states, config, bank, drive)  # fills the bank's spectra cache
     tracemalloc.start()
     try:
@@ -883,7 +869,7 @@ def test_discrete_setup_builds_one_bank(monkeypatch):
         assert len(calls) == 3
         states, bank = shared.states, shared.bank
         sine = lambda w: forcing(window_times(bank, w, cfg.h), cfg.forcing_freq)  # noqa: E731
-        for drive in (drive_at(shared.drive), sine):
+        for drive in (shared.drive.__getitem__, sine):
             expected = estimate_series(states, cfg, bank, drive).ls.theta
             assert shared.reference.tobytes() == expected.tobytes(), stride
 
