@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "golden" / "digests.json"
 _MANIFESTS = ROOT / "manifests"
 _SMALL = ["--trials", "24", "--set", "n=20001", "--workers", "2"]
+_P75 = ["--trials", "12", "--set", "n=20001", "--workers", "2"]
 
 #: (output directory, argv without --out); the estimate calls read the
 #: simulate call's file, and "late" reads it without its first 37 data rows
@@ -57,6 +58,9 @@ CALLS = [
         ["benchmark", "--mode", "discrete", "--trials", "12", "--set", "n=600",
          "--set", "N=16", "--set", "p=75", "--set", "substeps=2"],
     ),
+    # the published N = 100, p = 75 banks, which the calls above do not build
+    ("discrete-p75", ["benchmark", "--config", str(_MANIFESTS / "discrete.json"), *_P75]),
+    ("continuous-p75", ["benchmark", "--config", str(_MANIFESTS / "continuous.json"), *_P75]),
     ("simulate", ["simulate", "--mode", "discrete", "--set", "n=30001"]),
     ("estimate", ["estimate", "--mode", "discrete", "--input", "{simulate}"]),
     ("estimate-stride57", ["estimate", "--mode", "discrete", "--input", "{simulate}",
