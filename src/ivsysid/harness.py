@@ -163,7 +163,8 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
     """Integrate the states, build the bank, resolve the reference and the drive.
 
     If the configured exactness degree cannot be built on the split window
-    (rank or conditioning failure), fall back to FALLBACK_P with a warning.
+    (rank or conditioning failure), fall back to FALLBACK_P with a warning;
+    where the window holds fewer than FALLBACK_P samples, raise its error.
     It sets the malloc thresholds first (see keep_block_memory), so the
     discrete reference's walk keeps its block memory as a trial's does.
     """
@@ -177,8 +178,8 @@ def prepare_shared(config: ExperimentConfig) -> SharedArtifacts:
     try:
         bank = build_split_bank(config.mode, config.N, config.h, config.p)
     except (FilterRankError, FilterConditioningError) as exc:
-        if config.p <= FALLBACK_P:
-            raise
+        if config.p <= FALLBACK_P or config.N < FALLBACK_P:
+            raise  # no lower degree, or none the window holds
         warnings.warn(
             f"exactness degree p={config.p} not buildable on window {config.N} "
             f"({exc}); falling back to p={FALLBACK_P}",

@@ -33,7 +33,7 @@ class SplitFilterBank:
     value in discrete mode) and hat_G the state, both from one parity class;
     tilde_G estimates the state from the other class. All three live on
     windows of base_window samples with step 2*base_step, so one design row
-    spans 2*base_window raw samples.
+    spans 2*base_window raw samples. In discrete mode hat_H is tilde_G.
     """
 
     hat_H: FilterWeights
@@ -41,26 +41,23 @@ class SplitFilterBank:
     tilde_G: FilterWeights
     base_window: int
     base_step: float
-    # (nfft, conj(rfft) of (hat_H, hat_G, tilde_G)), keyed by parity-class length
+    # (nfft, conj(rfft) of the distinct stencils), keyed by parity-class length
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stencil_spectra(self, half: int) -> tuple[int, np.ndarray]:
         """FFT length and conjugate stencil spectra for parity classes of `half` samples.
 
-        nfft is the smallest fast length >= half and the spectra are
-        (3, nfft//2 + 1). Multiplying a signal's rfft by these and
-        transforming back correlates the signal with each stencil. Computed
-        once per class length and kept on the bank; concurrent callers at
-        worst compute the same value twice.
+        nfft is the smallest fast length >= half; the spectra have a row of
+        nfft//2 + 1 per distinct stencil: hat_H unless it is tilde_G, hat_G,
+        tilde_G. A signal's rfft times these, transformed back, correlates
+        it with each stencil. Computed once per class length and kept on the
+        bank; concurrent callers at worst compute the same value twice.
         """
         entry = self._spectra.get(half)
         if entry is None:
             nfft = _next_fast_len(half)
-            stencils = np.stack([
-                self.hat_H.coefficients[self.hat_H.spec.derivative_order],
-                self.hat_G.coefficients[0],
-                self.tilde_G.coefficients[0],
-            ])
+            distinct = (self.hat_H, self.hat_G, self.tilde_G)[self.hat_H is self.tilde_G :]
+            stencils = np.stack([f.coefficients[f.spec.derivative_order] for f in distinct])
             entry = nfft, np.conj(np.fft.rfft(stencils, nfft, axis=1))
             self._spectra[half] = entry
         return entry
@@ -74,31 +71,31 @@ def build_split_bank(mode: str, N: int, h: float, p: int) -> SplitFilterBank:
     the physical target sits a quarter step before the natural center
     location (1 + N)/2 of the later class and a quarter step after that of
     the earlier class, hence the -1/4 (hat) and +1/4 (tilde) location
-    shifts. In discrete mode the response filter targets half a doubled-grid
-    step past that point, so the learned map advances the state by h.
+    shifts. In discrete mode the response targets the tilde point, half a
+    doubled-grid step past the hat point, so hat_H is tilde_G and the learned
+    map advances the state by h.
 
     Args:
         mode: "continuous" (response = derivative) or "discrete" (= shift).
         N: taps per filter; even. ExperimentConfig checks mode and N.
         h: base sample spacing.
-        p: exactness degree of all three stencils; at most N.
+        p: exactness degree of all stencils; at most N.
 
     Returns:
-        SplitFilterBank with the three solved stencils.
+        SplitFilterBank with the solved stencils.
 
     Raises:
         FilterRankError: p > N.
+        FilterConditioningError: a solve misses its tolerance (p too large).
     """
     step = 2.0 * h
     center = (1 + N) / 2.0
-    d_H = 1 if mode == "continuous" else 0
-    loc_H = center if mode == "continuous" else (2 + N) / 2.0
-
-    hat_H = build_filter(FilterSpec(N, step, loc_H - 0.25, d_H, p, max_derivative=d_H))
-    hat_G = build_filter(FilterSpec(N, step, center - 0.25, 0, p, max_derivative=0))
-    tilde_G = build_filter(FilterSpec(N, step, center + 0.25, 0, p, max_derivative=0))
+    if mode == "continuous":
+        hat_H = build_filter(FilterSpec(N, step, center - 0.25, 1, p))
+    hat_G = build_filter(FilterSpec(N, step, center - 0.25, 0, p))
+    tilde_G = build_filter(FilterSpec(N, step, center + 0.25, 0, p))
     return SplitFilterBank(
-        hat_H=hat_H,
+        hat_H=hat_H if mode == "continuous" else tilde_G,
         hat_G=hat_G,
         tilde_G=tilde_G,
         base_window=N,
@@ -215,8 +212,9 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     ceil(n/2) samples (O one sample shorter when n is odd), so the real FFT
     of both reads it at the transform length without a padded copy. One
     inverse FFT of the product with the stencil spectra correlates each
-    line with all three stencils. Every line is transformed on its own, so
-    an output never mixes rounding from the other parity class.
+    line with each distinct stencil; when hat_H is tilde_G, its lines serve
+    both. Every line is transformed on its own, so an output never mixes
+    rounding from the other parity class.
 
     The result is the transposed view of a (3, d, windows) array: each
     component's outputs are one contiguous row.
@@ -232,11 +230,12 @@ def _parity_filtered(measurements: np.ndarray, bank: SplitFilterBank) -> np.ndar
     # circular correlation; entries a <= len(class) - N never wrap
     spectra = spectra[:, None, None, :]
     even, odd = np.fft.irfft(np.fft.rfft(classes) * spectra, nfft).transpose(1, 0, 2, 3)
+    hat = slice(1, None, -1) if bank.hat_H is bank.tilde_G else slice(0, 2)  # hat_H, hat_G
     out = np.empty((3, measurements.shape[1], windows))
-    out[:2, :, 0::2] = odd[:2, :, :n_even]
-    out[:2, :, 1::2] = even[:2, :, 1 : n_odd + 1]
-    out[2, :, 0::2] = even[2, :, :n_even]
-    out[2, :, 1::2] = odd[2, :, :n_odd]
+    out[:2, :, 0::2] = odd[hat, :, :n_even]
+    out[:2, :, 1::2] = even[hat, :, 1 : n_odd + 1]
+    out[2, :, 0::2] = even[-1, :, :n_even]
+    out[2, :, 1::2] = odd[-1, :, :n_odd]
     return out.transpose(0, 2, 1)
 
 
@@ -322,13 +321,7 @@ def assemble_design(
     def rows(samples: np.ndarray, w: slice) -> tuple:
         """X, Y and Z of the windows at the offsets w from the rows w.start onwards."""
         filtered = _parity_filtered(samples, bank)[:, ::stride]
-        count = filtered.shape[1]
-        features = np.asarray(feature_map(w, filtered[1:]), dtype=float)
-        if features.ndim != 3 or features.shape[:2] != (2, count):
-            raise ValueError(
-                f"feature_map returned shape {features.shape}, expected (2, {count}, d_phi)"
-            )
-        X, Z_raw = features
+        X, Z_raw = feature_map(w, filtered[1:])
         return X, filtered[0], rho_truncate(Z_raw, mu)
 
     def walk(add: Callable) -> None:

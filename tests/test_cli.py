@@ -628,6 +628,26 @@ def test_benchmark_failure_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fallback_the_window_cannot_hold_fails_with_the_configured_p(tmp_path, capsys):
+    # N = 6 holds neither p = 10 nor the fallback degree 8: the error names
+    # the p that was set, and no fallback is announced
+    out = tmp_path / "d"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = run_cli(
+            capsys,
+            "benchmark", "--mode", "continuous", "--trials", "3",
+            "--set", "N=6", "--set", "p=10", "--set", "n=300", "--out", str(out),
+        )
+    assert rc == 1
+    assert parse_json(err)["error"] == {
+        "type": "FilterRankError",
+        "message": "exactness degree p=10 needs at least p samples, window has 6",
+    }
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+
+
 def test_benchmark_summary_failure_leaves_no_output_dir(tmp_path, capsys, monkeypatch):
     # every trial has run when the summary fails; trials.csv is not written yet
     def broken(*args):

@@ -850,7 +850,7 @@ def test_discrete_experiment_uses_pseudo_true():
 
 
 def test_discrete_setup_builds_one_bank(monkeypatch):
-    # the reference reuses the experiment's bank: three stencils, not six, and
+    # the reference reuses the experiment's bank: two stencils, not four, and
     # it is the LS estimate of the one estimate stage on the noiseless path.
     # It reads the trials' drive column, which gives the bits of the sine
     # computed block by block at the windows' times
@@ -866,7 +866,7 @@ def test_discrete_setup_builds_one_bank(monkeypatch):
         )
         calls.clear()
         shared = prepare_shared(cfg)
-        assert len(calls) == 3
+        assert len(calls) == 2
         states, bank = shared.states, shared.bank
         sine = lambda w: forcing(window_times(bank, w, cfg.h), cfg.forcing_freq)  # noqa: E731
         for drive in (shared.drive.__getitem__, sine):

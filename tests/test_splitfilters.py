@@ -63,9 +63,23 @@ def test_bank_structure_discrete():
     bank = build_split_bank("discrete", 100, 0.001, 8)
     assert bank.hat_H.spec.derivative_order == 0
     # the response filter sits half a doubled-grid step (one raw sample)
-    # past the state filter
+    # past the state filter, where the tilde filter sits: it is tilde_G
+    assert bank.hat_H is bank.tilde_G
     assert bank.hat_H.spec.location - bank.hat_G.spec.location == pytest.approx(0.5)
     assert bank.tilde_G.spec.location - bank.hat_G.spec.location == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("mode, stencils", [("continuous", 3), ("discrete", 2)])
+def test_bank_solves_and_transforms_each_distinct_stencil_once(mode, stencils, monkeypatch):
+    calls = []
+    real = splitfilters.build_filter
+    monkeypatch.setattr(
+        splitfilters, "build_filter", lambda spec: calls.append(spec) or real(spec)
+    )
+    bank = build_split_bank(mode, 100, 0.001, 75)
+    assert len(calls) == stencils
+    nfft, spectra = bank.stencil_spectra(5_000)
+    assert spectra.shape == (stencils, nfft // 2 + 1)
 
 
 def test_bank_supports_high_degree():
@@ -114,13 +128,16 @@ def _scipy_parity_filtered(y, bank):
 
 
 @pytest.mark.parametrize("mode", ["continuous", "discrete"])
-@pytest.mark.parametrize("n", [200, 201, 9_999])  # 2N, odd, many blocks' worth
+@pytest.mark.parametrize("n", [200, 201, 9_999, 10_000])  # 2N, odd, many blocks' worth, even
 def test_parity_filtered_matches_scipy_reference(mode, n):
     bank = build_split_bank(mode, 100, 1e-3, 8)
     y = np.random.default_rng(n).normal(size=(n, 3)) + 3.0
     got, want = _parity_filtered(y, bank), _scipy_parity_filtered(y, bank)
     assert got.shape == want.shape == (3, n - 199, 3)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if mode == "discrete":
+        # the response at offset w is the tilde output at w + 1, bit for bit
+        assert got[0, :-1].tobytes() == got[2, 1:].tobytes()
 
 
 def test_cli_and_harness_import_without_scipy():
